@@ -92,7 +92,6 @@ from .bands import (
 )
 from .bounds import (
     LowerBoundReport,
-    baraud_eps,
     besov_rate,
     lipschitz_rate,
     modulus,
@@ -135,7 +134,7 @@ __all__ = [
     # bounds
     "LowerBoundReport", "w_target", "v2_term", "surrogate_lower_bound",
     "rn_lower_bound", "lipschitz_rate", "sobolev_rate", "besov_rate",
-    "baraud_eps", "modulus",
+    "modulus",
     # simulate
     "Scenario", "SimReport", "run", "gaussian_draw", "make_spoiler",
 ]

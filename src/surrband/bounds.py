@@ -26,7 +26,6 @@ __all__ = [
     "lipschitz_rate",
     "sobolev_rate",
     "besov_rate",
-    "baraud_eps",
     "modulus",
 ]
 
@@ -70,7 +69,13 @@ def w_target(omega: float, alpha: float, gamma: float, sigma: float = 1.0) -> fl
 
 
 def v2_term(n: int, d: int, alpha: float, gamma: float) -> float:
-    """Two-norm detection radius ``kappa(alpha, gamma) * (n-d)^(1/4) / sqrt(n)``."""
+    """Two-norm detection radius ``kappa(alpha, gamma) * (n-d)^(1/4) / sqrt(n)``.
+
+    It is Baraud's critical testing radius
+    ``(n-d)^(1/4) n^(-1/2) (2 log(1 + 4 delta^2))^(1/4)`` at
+    ``delta = 1 - 2*alpha - gamma``: below it, departures from a
+    ``d``-dimensional subspace cannot be tested with advantage ``delta``.
+    """
     n = _check_count("n", n)
     d = _check_count("d", d, minimum=0)
     if d > n:
@@ -208,21 +213,6 @@ def besov_rate(n: int, p: float, xi: float) -> float:
             f"rate exponent degenerates: 1/p - xi - 1/2 = {denom!r} is too close to 0"
         )
     return float(n) ** (-1.0 / denom)
-
-
-def baraud_eps(n: int, d: int, delta: float) -> float:
-    """Critical two-norm testing radius ``(n-d)^(1/4) n^(-1/2) (2log(1+4 delta^2))^(1/4)``.
-
-    Below this radius, departures from a ``d``-dimensional subspace cannot be
-    tested with advantage ``delta``.  Coincides with :func:`v2_term` at
-    ``delta = 1 - 2*alpha - gamma``.
-    """
-    n = _check_count("n", n)
-    d = _check_count("d", d, minimum=0)
-    if d > n:
-        raise DomainError(f"d must not exceed n; got d={d}, n={n}")
-    delta = _check_pos("delta", delta)
-    return (n - d) ** 0.25 / math.sqrt(n) * (2.0 * math.log1p(4.0 * delta * delta)) ** 0.25
 
 
 def modulus(

@@ -13,12 +13,24 @@ Four subcommands, all driven by a JSON config file (``--config``):
     Width lower-bound decomposition for a tuning configuration.
 ``simulate``
     Monte Carlo coverage/width certification (``--threads`` or the
-    ``SURRBAND_THREADS`` environment variable control parallelism; results
-    are byte-identical regardless).
+    ``SURRBAND_THREADS`` environment variable control parallelism, capped at
+    the CPU count and the replication count; results are byte-identical
+    regardless).
 
-Exit codes: 0 success, 2 invalid arguments or config (domain errors), 3
-infeasible narrowness level (the message carries the smallest feasible
-``gamma``).  All JSON output is serialized with sorted keys and 2-space
+Each subcommand, and each ``simulate`` procedure, has one key table that
+gives every key's check and whether it is required.  The whole config is
+checked against its table before any numerics run, and nothing is coerced:
+
+* a number is a finite JSON number, never a string or a boolean; ``NaN`` and
+  ``Infinity`` are rejected while the file is parsed;
+* ``perCoordinate`` is a JSON boolean and ``version`` the integer 1;
+* a key that the chosen subcommand or procedure does not use is an unknown
+  key (``perCoordinate``, for instance, is accepted only with
+  ``"procedure": "subspace"``).
+
+Exit codes: 0 success, 2 invalid arguments or config (domain errors, or a
+config too large to allocate), 3 infeasible narrowness level (the message
+carries the smallest feasible ``gamma``).  All JSON output is serialized with sorted keys and 2-space
 indentation so identical runs produce identical bytes.
 """
 
@@ -26,9 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,200 +65,276 @@ __all__ = ["main", "build_parser"]
 _CONFIG_VERSION = 1
 
 
-def _fail(message: str) -> DomainError:
-    return DomainError(message)
+# --- strict config checks -------------------------------------------------
+#
+# A check is called as ``check(value, where, cfg)`` and raises DomainError
+# naming ``where``, the dotted path of ``value``; ``cfg`` is the whole config.
+# A table maps each key of an object to its check; a trailing ``?`` marks an
+# optional key.  Keys are checked in table order, so a check may read any key
+# listed above it: the grid size (``n`` or ``y``) and the level count
+# (``subspace``).
+
+_Check = Callable[[object, str, dict], None]
 
 
-def _load_config(path: str) -> dict:
+def _bad(where: str, expected: str, value) -> DomainError:
+    return DomainError(f"{where} must be {expected}, got {value!r}")
+
+
+def _rule(ok: Callable[[object], bool], expected: str) -> _Check:
+    """A check that ``ok(value)`` holds; ``expected`` describes a valid value."""
+
+    def check(value, where, cfg):
+        if not ok(value):
+            raise _bad(where, expected, value)
+
+    return check
+
+
+def _finite_numbers(values) -> bool:
+    # Types are compared exactly because bool is a subclass of int.  A literal
+    # such as 1e400 parses to inf, and an integer beyond the double range
+    # makes isfinite raise.
     try:
-        text = Path(path).read_text()
+        return all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
+
+
+def _grid(cfg: dict) -> int:
+    return cfg["n"] if "n" in cfg else len(cfg["y"])
+
+
+def _levels(cfg: dict) -> int:
+    sub = cfg["subspace"]
+    return len(sub["dims"]) if "dims" in sub else 1
+
+
+_NUMBER = _rule(lambda v: _finite_numbers((v,)), "a finite JSON number")
+_POSITIVE = _rule(lambda v: type(v) is int and v >= 1, "a positive integer")
+_SEED = _rule(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_BOOLEAN = _rule(lambda v: type(v) is bool, "a JSON boolean")
+_VERSION = _rule(
+    lambda v: type(v) is int and v == _CONFIG_VERSION, f"the integer {_CONFIG_VERSION}"
+)
+
+
+def _level(extra: int) -> _Check:
+    """A level index in ``[1, m + extra]`` for a subspace of ``m`` levels."""
+
+    def check(value, where, cfg):
+        top = _levels(cfg) + extra
+        if type(value) is not int or not 1 <= value <= top:
+            raise _bad(where, f"an integer in [1, {top}]", value)
+
+    return check
+
+
+def _numbers(length: Callable[[dict], int] | None = None) -> _Check:
+    """A list of finite JSON numbers: ``length(cfg)`` of them, or at least one."""
+
+    def check(value, where, cfg):
+        want = None if length is None else length(cfg)
+        if type(value) is not list or not value or (want is not None and len(value) != want):
+            size = "a nonempty list of" if want is None else f"a list of {want}"
+            got = f"a list of {len(value)}" if type(value) is list else repr(value)
+            raise DomainError(f"{where} must be {size} numbers, got {got}")
+        if not _finite_numbers(value):
+            i = next(i for i, v in enumerate(value) if not _finite_numbers((v,)))
+            _NUMBER(value[i], f"{where}[{i}]", cfg)
+
+    return check
+
+
+def _list_of(item: _Check) -> _Check:
+    def check(value, where, cfg):
+        if type(value) is not list or not value:
+            raise _bad(where, "a nonempty list", value)
+        for i, v in enumerate(value):
+            item(v, f"{where}[{i}]", cfg)
+
+    return check
+
+
+def _object(table: dict[str, _Check]) -> _Check:
+    checks = {key.rstrip("?"): check for key, check in table.items()}
+    required = sorted(key for key in table if not key.endswith("?"))
+
+    def check(value, where, cfg):
+        if type(value) is not dict:
+            raise _bad(where, "a JSON object", value)
+        unknown = sorted(value.keys() - checks.keys())
+        if unknown:
+            raise DomainError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise DomainError(f"missing key(s) in {where}: {', '.join(missing)}")
+        for key, check_key in checks.items():
+            if key in value:
+                check_key(value[key], f"{where}.{key}", cfg)
+
+    return check
+
+
+def _tagged(tag: str, tables: dict[str, dict[str, _Check]]) -> _Check:
+    """An object whose ``tag`` value names the table it is checked against."""
+    *rest, last = map(repr, tables)
+    expected = f"{', '.join(rest)} or {last}" if rest else last
+    pick = _rule(lambda v: type(v) is str and v in tables, expected)
+    objects = {name: _object({tag: pick, **table}) for name, table in tables.items()}
+
+    def check(value, where, cfg):
+        if type(value) is not dict:
+            raise _bad(where, "a JSON object", value)
+        pick(value.get(tag), f"{where}.{tag}", cfg)
+        objects[value[tag]](value, where, cfg)
+
+    return check
+
+
+def _when(test: Callable[[object], bool], then: _Check, otherwise: _Check) -> _Check:
+    return lambda value, where, cfg: (then if test(value) else otherwise)(value, where, cfg)
+
+
+_SUBSPACE_KINDS = _tagged(
+    "kind",
+    {
+        "dyadic": {"d?": _POSITIVE, "dims?": _list_of(_POSITIVE)},
+        "cosine": {"d": _POSITIVE},
+        "custom": {"rows": _list_of(_numbers(_grid))},
+    },
+)
+
+
+def _subspace(single_for: str | None = None) -> _Check:
+    """A subspace; a single level when it serves ``single_for``."""
+
+    def check(value, where, cfg):
+        _SUBSPACE_KINDS(value, where, cfg)
+        if value["kind"] == "dyadic" and ("d" in value) == ("dims" in value):
+            raise DomainError(f"{where}: a dyadic subspace needs exactly one of 'd' or 'dims'")
+        if single_for and _levels(cfg) != 1:
+            raise DomainError(
+                f"{where}: {single_for} requires a single subspace, got {_levels(cfg)} levels"
+            )
+
+    return check
+
+
+def _truth(kinds: dict[str, dict[str, _Check]]) -> _Check:
+    return _when(lambda v: type(v) is dict, _tagged("kind", kinds), _numbers(_grid))
+
+
+_PER_LEVEL = _when(lambda v: type(v) is list, _numbers(_levels), _NUMBER)
+_TUNING = _when(
+    lambda v: type(v) is dict and "auto" in v,
+    _tagged("auto", {"achievable": {}, "lower-bound": {}}),
+    _object({"eps2": _PER_LEVEL, "epsInf": _PER_LEVEL}),
+)
+_ALPHA_SPLIT = _numbers(lambda cfg: _levels(cfg) + 1)
+_PLAIN_TRUTH = _truth({"zero": {}})
+
+# One table per subcommand and per simulate procedure.
+_CONSTANTS = {
+    "version": _VERSION, "n": _POSITIVE, "subspace": _subspace("constants"),
+    "alpha": _NUMBER, "gamma": _NUMBER, "sigma": _NUMBER,
+}
+_BAND = {
+    "version": _VERSION, "y": _numbers(), "subspace": _subspace(),
+    "alpha": _NUMBER, "gamma": _NUMBER, "sigma": _NUMBER,
+    "tuning": _TUNING, "alphaSplit?": _ALPHA_SPLIT,
+}
+_BOUNDS = {**_CONSTANTS, "subspace": _subspace("bounds"), "tuning": _TUNING}
+_RUN = {  # the keys of every simulate procedure
+    "version": _VERSION, "n": _POSITIVE, "alpha": _NUMBER, "sigma": _NUMBER,
+    "reps": _POSITIVE, "seed": _SEED,
+}
+_SIMULATE = {
+    "adaptive": {
+        **_RUN, "subspace": _subspace(), "gamma": _NUMBER,
+        "tuning": _TUNING, "alphaSplit?": _ALPHA_SPLIT,
+        "truth": _truth({"zero": {}, "spoiler": {"margin": _NUMBER, "level?": _level(0)}}),
+        "widthThreshold?": _when(
+            lambda v: type(v) is dict,
+            _tagged("kind", {"levelWidth": {"level": _level(1)}}),
+            _NUMBER,
+        ),
+    },
+    "bonferroni": {**_RUN, "truth": _PLAIN_TRUTH, "widthThreshold?": _NUMBER},
+    "subspace": {
+        **_RUN, "subspace": _subspace("the subspace procedure"),
+        "truth": _PLAIN_TRUTH, "widthThreshold?": _NUMBER, "perCoordinate?": _BOOLEAN,
+    },
+}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_config(path: str, check: _Check) -> dict:
+    try:
+        raw = Path(path).read_bytes()
     except OSError as exc:
-        raise _fail(f"cannot read config {path!r}: {exc}") from exc
+        raise DomainError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise _fail("config must be a JSON object")
-    if cfg.get("version") != _CONFIG_VERSION:
-        raise _fail(
-            f"config version must be {_CONFIG_VERSION}, got {cfg.get('version')!r}"
-        )
+        cfg = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
+        raise DomainError(f"config {path!r} is not valid JSON: {exc}") from exc
+    check(cfg, "config", cfg)
     return cfg
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise _fail(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _require_keys(obj: dict, required: tuple, where: str) -> None:
-    missing = sorted(k for k in required if k not in obj)
-    if missing:
-        raise _fail(f"missing key(s) in {where}: {', '.join(missing)}")
-
-
-def _positive_int(obj: dict, key: str, where: str) -> int:
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise _fail(f"{where}.{key} must be a positive integer, got {value!r}")
-    return value
-
-
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+# --- building from a checked config ---------------------------------------
 
 
 def _build_scale(cfg: dict, n: int) -> NestedScale:
-    if not isinstance(cfg, dict):
-        raise _fail("subspace must be a JSON object")
-    kind = cfg.get("kind")
-    if kind == "dyadic":
-        _reject_unknown(cfg, {"kind", "d", "dims"}, "subspace")
-        if ("d" in cfg) == ("dims" in cfg):
-            raise _fail("dyadic subspace needs exactly one of 'd' or 'dims'")
-        if "d" in cfg:
-            dims = [_positive_int(cfg, "d", "subspace")]
-        else:
-            dims = cfg["dims"]
-            if not isinstance(dims, list) or not dims:
-                raise _fail("subspace.dims must be a nonempty list of integers")
-            for v in dims:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise _fail(f"subspace.dims entries must be positive integers, got {v!r}")
-        return dyadic_scale(n, dims)
-    if kind == "cosine":
-        _reject_unknown(cfg, {"kind", "d"}, "subspace")
-        _require_keys(cfg, ("d",), "subspace")
-        return NestedScale((cosine_basis(n, _positive_int(cfg, "d", "subspace")),))
-    if kind == "custom":
-        _reject_unknown(cfg, {"kind", "rows"}, "subspace")
-        _require_keys(cfg, ("rows",), "subspace")
-        rows = np.asarray(cfg["rows"], dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise _fail(
-                f"subspace.rows must be a matrix with {n} columns, got shape {rows.shape}"
-            )
-        return NestedScale((Subspace(orthonormalize(rows)),))
-    raise _fail(f"subspace.kind must be 'dyadic', 'cosine' or 'custom', got {kind!r}")
+    sub = cfg["subspace"]
+    if sub["kind"] == "dyadic":
+        return dyadic_scale(n, sub["dims"] if "dims" in sub else [sub["d"]])
+    if sub["kind"] == "cosine":
+        return NestedScale((cosine_basis(n, sub["d"]),))
+    return NestedScale((Subspace(orthonormalize(np.asarray(sub["rows"], dtype=np.float64))),))
 
 
-def _single_level(scale: NestedScale, where: str) -> Subspace:
-    if scale.m != 1:
-        raise _fail(f"{where} requires a single subspace, got {scale.m} levels")
-    return scale.levels[0]
-
-
-def _build_tuning(
-    cfg: dict,
-    scale: NestedScale,
-    alpha: float,
-    gamma: float,
-    sigma: float,
-    alphas: tuple[float, ...],
-) -> SurrogateTuning:
-    if not isinstance(cfg, dict):
-        raise _fail("tuning must be a JSON object")
-    if "auto" in cfg:
-        _reject_unknown(cfg, {"auto"}, "tuning")
-        mode = cfg["auto"]
-        if mode not in ("achievable", "lower-bound"):
-            raise _fail(
-                f"tuning.auto must be 'achievable' or 'lower-bound', got {mode!r}"
-            )
-        return nested_tuning(
-            scale, alpha, gamma, sigma, alphas=alphas, achievable=(mode == "achievable")
+def _build_params(cfg: dict, scale: NestedScale) -> BandParams:
+    alpha, gamma, sigma = (float(cfg[k]) for k in ("alpha", "gamma", "sigma"))
+    m = scale.m
+    if "alphaSplit" in cfg:
+        split = tuple(float(v) for v in cfg["alphaSplit"])
+    else:
+        split = (alpha / (m + 1),) * (m + 1)
+    tuning = cfg["tuning"]
+    if "auto" in tuning:
+        tuning = nested_tuning(
+            scale, alpha, gamma, sigma, alphas=split, achievable=tuning["auto"] == "achievable"
         )
-    _reject_unknown(cfg, {"eps2", "epsInf"}, "tuning")
-    _require_keys(cfg, ("eps2", "epsInf"), "tuning")
-
-    def levels_of(key: str) -> tuple[float, ...]:
-        value = cfg[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return (float(value),) * scale.m
-        if isinstance(value, list):
-            if len(value) != scale.m:
-                raise _fail(
-                    f"tuning.{key} must have one entry per level ({scale.m}), got {len(value)}"
-                )
-            return tuple(float(v) for v in value)
-        raise _fail(f"tuning.{key} must be a number or list of numbers")
-
-    return SurrogateTuning(levels_of("eps2"), levels_of("epsInf"))
+    else:  # a number is shared by all levels
+        eps2, eps_inf = (
+            v if type(v) is list else [v] * m for v in (tuning["eps2"], tuning["epsInf"])
+        )
+        tuning = SurrogateTuning(eps2, eps_inf)
+    return BandParams(alpha=alpha, gamma=gamma, sigma=sigma, tuning=tuning, alpha_split=split)
 
 
-def _build_split(cfg: dict, alpha: float, m: int) -> tuple[float, ...]:
-    if "alphaSplit" not in cfg:
-        return (alpha / (m + 1),) * (m + 1)
-    split = cfg["alphaSplit"]
-    if not isinstance(split, list) or len(split) != m + 1:
-        raise _fail(f"alphaSplit must be a list of length m + 1 = {m + 1}")
-    return tuple(float(v) for v in split)
-
-
-def _build_truth(
-    cfg,
-    n: int,
-    scale: NestedScale | None,
-    tuning: SurrogateTuning | None,
-) -> np.ndarray:
-    if isinstance(cfg, list):
-        truth = np.asarray(cfg, dtype=np.float64)
-        if truth.shape != (n,):
-            raise _fail(f"truth must have length {n}, got shape {truth.shape}")
-        return truth
-    if isinstance(cfg, dict):
-        kind = cfg.get("kind")
-        if kind == "zero":
-            _reject_unknown(cfg, {"kind"}, "truth")
-            return np.zeros(n)
-        if kind == "spoiler":
-            _reject_unknown(cfg, {"kind", "margin", "level"}, "truth")
-            _require_keys(cfg, ("margin",), "truth")
-            if scale is None or tuning is None:
-                raise _fail("spoiler truth requires an adaptive configuration")
-            level = cfg.get("level", 1)
-            if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= scale.m:
-                raise _fail(f"truth.level must be an integer in [1, {scale.m}], got {level!r}")
-            return make_spoiler(
-                scale.levels[level - 1],
-                tuning.eps2[level - 1],
-                tuning.eps_inf[level - 1],
-                _number(cfg, "margin", "truth"),
-            )
-        raise _fail(f"truth.kind must be 'zero' or 'spoiler', got {kind!r}")
-    raise _fail("truth must be a list of numbers or an object")
-
-
-def _emit(text: str, out: str | None) -> None:
+def _emit(payload: dict, cfg: dict, out: str | None) -> int:
+    """Write ``payload`` and the config it echoes as JSON to ``out`` or stdout."""
+    text = json.dumps({**payload, "config": cfg}, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return 0
 
 
 # --- subcommand handlers --------------------------------------------------
 
 
-def _cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
-    _reject_unknown(cfg, {"version", "n", "subspace", "alpha", "gamma", "sigma"}, "config")
-    _require_keys(cfg, ("n", "subspace", "alpha", "gamma", "sigma"), "config")
-    n = _positive_int(cfg, "n", "config")
-    alpha = _number(cfg, "alpha", "config")
-    gamma = _number(cfg, "gamma", "config")
-    sigma = _number(cfg, "sigma", "config")
-    space = _single_level(_build_scale(cfg["subspace"], n), "constants")
+def _cmd_constants(cfg: dict, args) -> int:
+    n = cfg["n"]
+    alpha, gamma, sigma = (float(cfg[k]) for k in ("alpha", "gamma", "sigma"))
+    space = _build_scale(cfg, n).levels[0]
     payload = {
-        "config": cfg,
         "omega": space.omega,
         "kappa": kappa(alpha, gamma),
         "tauInv": tau_inv(1.0 - 2.0 * alpha - gamma),
@@ -252,170 +342,113 @@ def _cmd_constants(args) -> int:
         "Q": None if space.d == n else qconst(n - space.d, alpha / 2.0, gamma),
         "E": None if space.d == n else econst(n - space.d, alpha / 2.0, gamma),
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _emit(payload, cfg, args.out)
 
 
-def _parse_band_config(cfg: dict):
-    _reject_unknown(
-        cfg,
-        {"version", "y", "subspace", "alpha", "gamma", "sigma", "tuning", "alphaSplit"},
-        "config",
-    )
-    _require_keys(cfg, ("y", "subspace", "alpha", "gamma", "sigma", "tuning"), "config")
+def _cmd_band(cfg: dict, args) -> int:
     y = np.asarray(cfg["y"], dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise _fail("y must be a nonempty list of numbers")
-    n = y.shape[0]
-    alpha = _number(cfg, "alpha", "config")
-    gamma = _number(cfg, "gamma", "config")
-    sigma = _number(cfg, "sigma", "config")
-    scale = _build_scale(cfg["subspace"], n)
-    split = _build_split(cfg, alpha, scale.m)
-    tuning = _build_tuning(cfg["tuning"], scale, alpha, gamma, sigma, split)
-    params = BandParams(
-        alpha=alpha, gamma=gamma, sigma=sigma, tuning=tuning, alpha_split=split
-    )
-    return y, scale, params
-
-
-def _cmd_band(args) -> int:
-    cfg = _load_config(args.config)
-    y, scale, params = _parse_band_config(cfg)
-    band = adaptive_band_nested(scale, y, params)
+    scale = _build_scale(cfg, y.shape[0])
+    band = adaptive_band_nested(scale, y, _build_params(cfg, scale))
     x = np.arange(1, scale.n + 1, dtype=np.float64) / scale.n
     lines = ["x,lower,center,upper"]
     for xi, lo, ce, up in zip(x, band.lower, band.center, band.upper):
         lines.append(f"{float(xi)!r},{float(lo)!r},{float(ce)!r},{float(up)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
-    sidecar = dict(band.to_dict())
-    sidecar["config"] = cfg
-    Path(args.out + ".json").write_text(_json_text(sidecar))
-    return 0
+    Path(args.out).write_text("\n".join(lines) + "\n")
+    return _emit(band.to_dict(), cfg, args.out + ".json")
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    _reject_unknown(
-        cfg, {"version", "n", "subspace", "alpha", "gamma", "sigma", "tuning"}, "config"
-    )
-    _require_keys(cfg, ("n", "subspace", "alpha", "gamma", "sigma", "tuning"), "config")
-    n = _positive_int(cfg, "n", "config")
-    alpha = _number(cfg, "alpha", "config")
-    gamma = _number(cfg, "gamma", "config")
-    sigma = _number(cfg, "sigma", "config")
-    scale = _build_scale(cfg["subspace"], n)
-    space = _single_level(scale, "bounds")
-    split = _build_split(cfg, alpha, scale.m)
-    tuning = _build_tuning(cfg["tuning"], scale, alpha, gamma, sigma, split)
+def _cmd_bounds(cfg: dict, args) -> int:
+    scale = _build_scale(cfg, cfg["n"])
+    params = _build_params(cfg, scale)
+    tuning = params.tuning
     report = surrogate_lower_bound(
-        space, tuning.eps2[0], tuning.eps_inf[0], alpha, gamma, sigma
+        scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], params.alpha, params.gamma,
+        params.sigma,
     )
-    payload = dict(report.to_dict())
-    payload["config"] = cfg
-    payload["eps2"] = tuning.eps2[0]
-    payload["epsInf"] = tuning.eps_inf[0]
-    _emit(_json_text(payload), args.out)
-    return 0
+    payload = {**report.to_dict(), "eps2": tuning.eps2[0], "epsInf": tuning.eps_inf[0]}
+    return _emit(payload, cfg, args.out)
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("SURRBAND_THREADS")
-        if env is None:
-            return 1
+    value = args.threads
+    if value is None:
+        env = os.environ.get("SURRBAND_THREADS", "1")
         try:
             value = int(env)
         except ValueError as exc:
-            raise _fail(f"SURRBAND_THREADS must be an integer, got {env!r}") from exc
+            raise DomainError(f"SURRBAND_THREADS must be an integer, got {env!r}") from exc
     if value < 1:
-        raise _fail(f"thread count must be positive, got {value}")
+        raise DomainError(f"thread count must be positive, got {value}")
     return value
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _reject_unknown(
-        cfg,
-        {
-            "version", "procedure", "n", "subspace", "alpha", "gamma", "sigma",
-            "tuning", "alphaSplit", "truth", "reps", "seed", "widthThreshold",
-            "perCoordinate",
-        },
-        "config",
-    )
-    _require_keys(cfg, ("procedure", "n", "alpha", "sigma", "truth", "reps", "seed"), "config")
-    procedure = cfg["procedure"]
-    n = _positive_int(cfg, "n", "config")
-    alpha = _number(cfg, "alpha", "config")
-    sigma = _number(cfg, "sigma", "config")
-    reps = _positive_int(cfg, "reps", "config")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise _fail(f"config.seed must be a nonnegative integer, got {seed!r}")
-
-    scale = params = None
+def _cmd_simulate(cfg: dict, args) -> int:
+    procedure, n, truth = cfg["procedure"], cfg["n"], cfg["truth"]
     if procedure == "adaptive":
-        _require_keys(cfg, ("subspace", "gamma", "tuning"), "config")
-        gamma = _number(cfg, "gamma", "config")
-        scale = _build_scale(cfg["subspace"], n)
-        split = _build_split(cfg, alpha, scale.m)
-        tuning = _build_tuning(cfg["tuning"], scale, alpha, gamma, sigma, split)
-        params = BandParams(
-            alpha=alpha, gamma=gamma, sigma=sigma, tuning=tuning, alpha_split=split
-        )
-        truth = _build_truth(cfg["truth"], n, scale, tuning)
-        scenario = Scenario(
-            kind="adaptive", truth=truth, reps=reps, seed=seed, scale=scale, params=params
-        )
-    elif procedure == "bonferroni":
-        truth = _build_truth(cfg["truth"], n, None, None)
-        scenario = Scenario(
-            kind="bonferroni", truth=truth, reps=reps, seed=seed, alpha=alpha, sigma=sigma
-        )
-    elif procedure == "subspace":
-        _require_keys(cfg, ("subspace",), "config")
-        space = _single_level(_build_scale(cfg["subspace"], n), "the subspace procedure")
-        truth = _build_truth(cfg["truth"], n, None, None)
-        per_coordinate = bool(cfg.get("perCoordinate", False))
-        scenario = Scenario(
-            kind="subspace", truth=truth, reps=reps, seed=seed,
-            space=space, alpha=alpha, sigma=sigma, per_coordinate=per_coordinate,
-        )
+        scale = _build_scale(cfg, n)
+        params = _build_params(cfg, scale)
+        scenario_args = {"scale": scale, "params": params}
     else:
-        raise _fail(
-            f"procedure must be 'adaptive', 'bonferroni' or 'subspace', got {procedure!r}"
-        )
-
-    width_threshold = None
-    if "widthThreshold" in cfg:
-        wt = cfg["widthThreshold"]
-        if isinstance(wt, dict):
-            _reject_unknown(wt, {"kind", "level"}, "widthThreshold")
-            if wt.get("kind") != "levelWidth" or scale is None or params is None:
-                raise _fail(
-                    "widthThreshold objects must be "
-                    '{"kind": "levelWidth", "level": j} on an adaptive run'
-                )
-            level = wt.get("level")
-            if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= scale.m + 1:
-                raise _fail(
-                    f"widthThreshold.level must be an integer in [1, {scale.m + 1}]"
-                )
-            width_threshold = level_widths(scale, params)[level - 1]
-        else:
-            width_threshold = _number(cfg, "widthThreshold", "config")
-
+        scenario_args = {"alpha": cfg["alpha"], "sigma": cfg["sigma"]}
+        scenario_args["per_coordinate"] = cfg.get("perCoordinate", False)
+        if procedure == "subspace":
+            scenario_args["space"] = _build_scale(cfg, n).levels[0]
+    if type(truth) is list:
+        truth = np.asarray(truth, dtype=np.float64)
+    elif truth["kind"] == "zero":
+        truth = np.zeros(n)
+    else:  # a spoiler, which the tables allow on adaptive runs only
+        j = truth.get("level", 1) - 1
+        eps2, eps_inf = params.tuning.eps2[j], params.tuning.eps_inf[j]
+        truth = make_spoiler(scale.levels[j], eps2, eps_inf, float(truth["margin"]))
+    scenario = Scenario(
+        kind=procedure, truth=truth, reps=cfg["reps"], seed=cfg["seed"], **scenario_args
+    )
+    width_threshold = cfg.get("widthThreshold")
+    if type(width_threshold) is dict:  # a level width, adaptive runs only
+        width_threshold = level_widths(scale, params)[width_threshold["level"] - 1]
     report = run(scenario, width_threshold=width_threshold, threads=_resolve_threads(args))
-    payload = dict(report.to_dict())
-    payload["config"] = cfg
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _emit(report.to_dict(), cfg, args.out)
 
 
 # --- parser ---------------------------------------------------------------
+
+_OUT = {"help": "write JSON here instead of stdout"}
+_THREADS_HELP = "worker threads (default: SURRBAND_THREADS or 1; at most the CPU count)"
+
+# name: (config check, handler, options besides --config, help, description)
+_COMMANDS = {
+    "constants": (
+        _object(_CONSTANTS), _cmd_constants,
+        {"--out": _OUT},
+        "calibration constants for a single-subspace configuration",
+        "Report leverage omega, kappa, tau_inv, the benchmark width wF, "
+        "and the chi-square separation constants Q and E evaluated at "
+        "(n - d, alpha/2, gamma) — the values the achievable tuning uses "
+        "(null when d == n).",
+    ),
+    "band": (
+        _object(_BAND), _cmd_band,
+        {"--out": {"required": True, "help": "output CSV path (sidecar: <out>.json)"}},
+        "compute an adaptive band for a data vector",
+        "Write the band as CSV (x,lower,center,upper) to --out and the "
+        "selection diagnostics to <out>.json.",
+    ),
+    "bounds": (
+        _object(_BOUNDS), _cmd_bounds,
+        {"--out": _OUT},
+        "width lower-bound decomposition for a tuning configuration",
+        None,
+    ),
+    "simulate": (
+        _tagged("procedure", _SIMULATE), _cmd_simulate,
+        {"--out": _OUT, "--threads": {"type": int, "help": _THREADS_HELP}},
+        "Monte Carlo coverage/width certification",
+        "Run the configured scenario; results are byte-identical for any "
+        "thread count (replications are keyed by a counter-based "
+        "generator, not by execution order).",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,71 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "constants",
-        help="calibration constants for a single-subspace configuration",
-        description=(
-            "Report leverage omega, kappa, tau_inv, the benchmark width wF, "
-            "and the chi-square separation constants Q and E evaluated at "
-            "(n - d, alpha/2, gamma) — the values the achievable tuning uses "
-            "(null when d == n)."
-        ),
-    )
-    p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser(
-        "band",
-        help="compute an adaptive band for a data vector",
-        description=(
-            "Write the band as CSV (x,lower,center,upper) to --out and the "
-            "selection diagnostics to <out>.json."
-        ),
-    )
-    p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--out", required=True, help="output CSV path (sidecar: <out>.json)")
-    p.set_defaults(func=_cmd_band)
-
-    p = sub.add_parser(
-        "bounds",
-        help="width lower-bound decomposition for a tuning configuration",
-    )
-    p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser(
-        "simulate",
-        help="Monte Carlo coverage/width certification",
-        description=(
-            "Run the configured scenario; results are byte-identical for any "
-            "thread count (replications are keyed by a counter-based "
-            "generator, not by execution order)."
-        ),
-    )
-    p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads (default: SURRBAND_THREADS or 1)",
-    )
-    p.set_defaults(func=_cmd_simulate)
+    for name, (check, handler, options, help_text, description) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=description)
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(check=check, func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FeasibilityError as exc:
+        return args.func(_load_config(args.config, args.check), args)
+    except (FeasibilityError, DomainError, MemoryError) as exc:  # MemoryError: n or reps too big
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, FeasibilityError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

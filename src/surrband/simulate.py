@@ -16,6 +16,7 @@ collected per replication and summarized in a :class:`SimReport`.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,8 +51,10 @@ class Scenario:
 
     ``kind`` selects the procedure: ``"adaptive"`` (requires ``scale`` and
     ``params``), ``"bonferroni"`` (requires ``alpha`` and ``sigma``), or
-    ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``).  ``truth``
-    is the mean vector; noise is ``N(0, sigma^2)`` per coordinate.
+    ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``); ``alpha``
+    must lie in (0, 1) and ``sigma`` be finite and positive, checked here
+    rather than at the first replication.  ``truth`` is the mean vector;
+    noise is ``N(0, sigma^2)`` per coordinate.
     """
 
     kind: str
@@ -84,8 +87,13 @@ class Scenario:
         else:
             if self.alpha is None or self.sigma is None:
                 raise DomainError(f"{self.kind} scenarios need alpha= and sigma=")
-            object.__setattr__(self, "alpha", float(self.alpha))
-            object.__setattr__(self, "sigma", float(self.sigma))
+            alpha, sigma = float(self.alpha), float(self.sigma)
+            if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+                raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+            if not (math.isfinite(sigma) and sigma > 0.0):
+                raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "sigma", sigma)
             if self.kind == "subspace":
                 if not isinstance(self.space, Subspace):
                     raise DomainError("subspace scenarios need space=")
@@ -167,12 +175,18 @@ def _covers(band, g: np.ndarray) -> bool:
     return bool(np.all((band.lower <= g) & (g <= band.upper)))
 
 
+def _worker_count(threads: int, reps: int) -> int:
+    """Threads worth starting: no more than requested, replications or CPUs."""
+    return min(threads, reps, os.cpu_count() or 1)
+
+
 def run(scenario: Scenario, *, width_threshold: float | None = None, threads: int = 1) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
     ``threads > 1`` splits replications into contiguous chunks executed in a
-    thread pool; results are byte-identical to the serial run.  Adaptive
-    scenarios are checked for feasibility once up front (raising
+    thread pool of at most ``os.cpu_count()`` workers; results are
+    byte-identical to the serial run.  Adaptive scenarios are checked for
+    feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
     if not isinstance(threads, int) or threads < 1:
@@ -221,11 +235,12 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
             if levels is not None:
                 levels[rep] = band.selected_level
 
-    if threads == 1:
+    workers = _worker_count(threads, reps)
+    if workers == 1:
         work(0, reps)
     else:
-        bounds_list = np.linspace(0, reps, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        bounds_list = np.linspace(0, reps, workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(work, int(lo), int(hi))
                 for lo, hi in zip(bounds_list[:-1], bounds_list[1:])

@@ -14,7 +14,6 @@ import pytest
 from surrband import (
     DomainError,
     LowerBoundReport,
-    baraud_eps,
     besov_rate,
     bonferroni_band,
     dyadic_blocks,
@@ -57,11 +56,13 @@ class TestV2Term:
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_baraud_eps_coincides(self):
-        # With separation parameter delta = 1 - gamma - 2 alpha the scaled
-        # Baraud radius reproduces v2 exactly.
+        # With separation parameter delta = 1 - gamma - 2 alpha, Baraud's
+        # critical testing radius (n-d)^(1/4) n^(-1/2) (2 log(1 + 4 delta^2))^(1/4)
+        # reproduces v2 exactly.
         for n, d, alpha, gamma in [(256, 4, 0.05, 0.05), (1024, 16, 0.1, 0.1), (64, 1, 0.025, 0.1)]:
             delta = 1.0 - gamma - 2.0 * alpha
-            assert baraud_eps(n, d, delta) == pytest.approx(v2_term(n, d, alpha, gamma), rel=1e-14)
+            baraud = (n - d) ** 0.25 / math.sqrt(n) * (2.0 * math.log1p(4.0 * delta**2)) ** 0.25
+            assert v2_term(n, d, alpha, gamma) == pytest.approx(baraud, rel=1e-14)
 
     def test_full_space_gives_zero(self):
         # No residual degrees of freedom: the detection radius collapses.

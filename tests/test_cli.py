@@ -56,6 +56,93 @@ def _simulate_config(**overrides):
     return cfg
 
 
+def _band_config(**overrides):
+    cfg = {
+        "version": 1,
+        "y": [1.0, 1.4, 0.8, 1.1, 2.0, 1.7, 2.2, 1.9],
+        "subspace": {"kind": "dyadic", "dims": [1, 2]},
+        "alpha": 0.1,
+        "gamma": 0.2,
+        "sigma": 0.5,
+        "tuning": {"eps2": 2.0, "epsInf": 0.25},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+_BONFERRONI = {
+    "version": 1,
+    "procedure": "bonferroni",
+    "n": 16,
+    "alpha": 0.1,
+    "sigma": 1.0,
+    "truth": {"kind": "zero"},
+    "reps": 10,
+    "seed": 1,
+}
+_SUBSPACE = {
+    "version": 1,
+    "procedure": "subspace",
+    "n": 16,
+    "subspace": {"kind": "dyadic", "d": 2},
+    "alpha": 0.1,
+    "sigma": 0.5,
+    "truth": {"kind": "zero"},
+    "reps": 10,
+    "seed": 1,
+}
+# Base config of each subcommand; simulate's is picked by "procedure".
+_BASES = {
+    "constants": _constants_config(),
+    "band": _band_config(),
+    "adaptive": _simulate_config(),
+    "bonferroni": _BONFERRONI,
+    "subspace": _SUBSPACE,
+}
+
+
+def _custom_rows(rows):
+    return {"n": 4, "subspace": {"kind": "custom", "rows": rows}}
+
+
+# (config fragment, subcommand, exit code, message stem).  A fragment updates
+# the base config of its subcommand, or is the whole file when it is bytes.
+# Each row must be refused with its exit code and a message holding the stem,
+# which names the offending key: never coerced, run or ended by a traceback.
+_REJECTED = [
+    # numbers given as strings or booleans
+    ({"alphaSplit": ["0.03", "0.03", "0.04"]}, "band", 2, "alphaSplit"),
+    ({"alphaSplit": [True, 0.03, 0.04]}, "simulate", 2, "alphaSplit"),
+    ({"procedure": "bonferroni", "truth": ["0"] * 16}, "simulate", 2, "truth"),
+    (_custom_rows([["1", "1", "1", "1"]]), "constants", 2, "rows"),
+    ({"y": ["1", "2", "3", "4", "5", "6", "7", "8"]}, "band", 2, "y"),
+    ({"tuning": {"eps2": ["2.0", 1.0], "epsInf": 0.25}}, "band", 2, "eps2"),
+    ({"version": True}, "constants", 2, "version"),
+    ({"version": 1.0}, "constants", 2, "version"),
+    # keys the procedure does not use
+    ({"perCoordinate": True}, "simulate", 2, "perCoordinate"),
+    ({"procedure": "subspace", "perCoordinate": "false"}, "simulate", 2, "perCoordinate"),
+    ({"procedure": "bonferroni", "gamma": 0.1}, "simulate", 2, "gamma"),
+    ({"procedure": "bonferroni", "tuning": {"auto": "x"}}, "simulate", 2, "tuning"),
+    ({"procedure": "bonferroni", "subspace": 3}, "simulate", 2, "subspace"),
+    # malformed lists and files
+    (_custom_rows([[1, 0, 0, 0], [0, 1]]), "constants", 2, "rows"),
+    ({"y": [1, "a", 3, 4], "subspace": {"kind": "dyadic", "d": 2}}, "band", 2, "y"),
+    ({"alphaSplit": [0.03, "x", 0.03]}, "simulate", 2, "alphaSplit"),
+    ({"tuning": {"eps2": [0.5, {}], "epsInf": 0.1}}, "simulate", 2, "eps2"),
+    (b'{"version": 1, "n": 256, "note": "\xff"}', "constants", 2, "utf-8"),
+    ({"procedure": "bonferroni", "truth": [10**400] + [0] * 15}, "simulate", 2, "truth"),
+    (b'{"version": 1, "n": ' + b"1" * 5000 + b"}", "constants", 2, "not valid JSON"),
+    # non-finite values, refused by the parser rather than in the numerics
+    ({"alpha": float("nan")}, "constants", 2, "NaN"),
+    ({"procedure": "bonferroni", "sigma": float("inf")}, "simulate", 2, "Infinity"),
+    ({"procedure": "bonferroni", "truth": [None] + [0] * 15}, "simulate", 2, "truth"),
+    # 1e400 parses to inf
+    (json.dumps(_constants_config(sigma=0)).replace('"sigma": 0', '"sigma": 1e400').encode(),
+     "constants", 2, "sigma"),
+]
+
+
 class TestConstants:
     def test_frozen_values(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _constants_config())
@@ -99,15 +186,7 @@ class TestConstants:
 
 class TestBand:
     def _band_config(self):
-        return {
-            "version": 1,
-            "y": [1.0, 1.4, 0.8, 1.1, 2.0, 1.7, 2.2, 1.9],
-            "subspace": {"kind": "dyadic", "dims": [1, 2]},
-            "alpha": 0.1,
-            "gamma": 0.2,
-            "sigma": 0.5,
-            "tuning": {"eps2": 2.0, "epsInf": 0.25},
-        }
+        return _band_config()
 
     def test_csv_and_sidecar(self, tmp_path):
         cfg = _write_config(tmp_path, self._band_config())
@@ -345,6 +424,41 @@ class TestExitCodes:
         assert "gamma" in err
         # The message carries a usable feasibility floor.
         assert any(ch.isdigit() for ch in err)
+
+    @pytest.mark.parametrize(
+        "fragment, subcommand, code, stem",
+        _REJECTED,
+        ids=[f"{i}-{stem.replace(' ', '_')}" for i, (*_, stem) in enumerate(_REJECTED)],
+    )
+    def test_rejected_config(self, tmp_path, capsys, fragment, subcommand, code, stem):
+        path = tmp_path / "config.json"
+        if isinstance(fragment, bytes):
+            path.write_bytes(fragment)
+        else:
+            base = subcommand
+            if subcommand == "simulate":
+                base = fragment.get("procedure", "adaptive")
+            path.write_text(json.dumps({**_BASES[base], **fragment}))
+        argv = [subcommand, "--config", str(path)]
+        if subcommand == "band":
+            argv += ["--out", str(tmp_path / "band.csv")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stem in captured.err
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A config too large to allocate is a config error, not a crash.  The
+        # allocation failure is simulated so the test allocates nothing.
+        import surrband.cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(surrband.cli, "run", no_memory)
+        cfg = _write_config(tmp_path, _simulate_config())
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
 
     def test_argparse_errors_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -7,10 +7,12 @@ spoiler construction against its exact norm targets.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from surrband import simulate
 from surrband import (
     BandParams,
     DomainError,
@@ -78,6 +80,15 @@ class TestRunDeterminism:
         for threads in (2, 3, 5):
             parallel = json.dumps(run(s, threads=threads).to_dict(), sort_keys=True)
             assert parallel == serial, threads
+
+    def test_uneven_chunks_match_serial(self, monkeypatch):
+        # Worker counts are capped at the CPU count; pretend to have enough
+        # CPUs that 3 and 5 uneven chunks are really run.
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        s = _adaptive_scenario(reps=151)
+        serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
+        for threads in (3, 5):
+            assert json.dumps(run(s, threads=threads).to_dict(), sort_keys=True) == serial
 
     def test_widths_array_matches_threaded(self):
         s = _adaptive_scenario(reps=90)
@@ -193,6 +204,46 @@ class TestScenarioValidation:
     def test_bad_threads(self):
         with pytest.raises(DomainError):
             run(_adaptive_scenario(reps=10), threads=0)
+
+    @pytest.mark.parametrize("kind", ["bonferroni", "subspace"])
+    @pytest.mark.parametrize(
+        "alpha, sigma",
+        [(1.5, 1.0), (0.0, 1.0), (float("nan"), 1.0), (0.1, float("inf")), (0.1, 0.0), (0.1, -1.0)],
+    )
+    def test_alpha_and_sigma_checked_at_construction(self, kind, alpha, sigma):
+        space = dyadic_blocks(8, 2) if kind == "subspace" else None
+        with pytest.raises(DomainError):
+            Scenario(kind=kind, truth=np.zeros(8), reps=10, seed=1, space=space, alpha=alpha, sigma=sigma)
+
+
+class TestWorkerCount:
+    """The worker cap, checked as a pure function: no test starts many threads."""
+
+    def test_capped_by_threads_reps_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        assert simulate._worker_count(10**9, 10**9) == 2
+        assert simulate._worker_count(10**9, 1) == 1
+        assert simulate._worker_count(1, 10**9) == 1
+        assert simulate._worker_count(2, 100) == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._worker_count(10**9, 10**9) == 1
+
+    def test_run_starts_the_capped_count(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        s = _adaptive_scenario(reps=20)
+        serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
+        assert json.dumps(run(s, threads=64).to_dict(), sort_keys=True) == serial
+        assert pools == [2]
 
 
 class TestMakeSpoiler:
