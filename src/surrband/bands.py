@@ -15,6 +15,11 @@ enough power at the configured two-norm cap for that width guarantee to be
 meaningful; the adaptive constructors raise
 :class:`~surrband.errors.FeasibilityError` below the feasible range.
 
+The per-configuration constants of the adaptive band (feasibility floor,
+chi-square cutoffs, half-widths) are computed once per ``(scale, params)`` in
+a private plan that :func:`adaptive_band_nested` and the Monte Carlo driver
+share.
+
 :func:`bonferroni_band` and :func:`subspace_band` are the two non-adaptive
 baselines.
 """
@@ -22,6 +27,7 @@ baselines.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +242,73 @@ def level_widths(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
     return tuple(widths)
 
 
+class _Plan:
+    """The data-independent part of the adaptive band for one configuration.
+
+    Holds each level's basis, chi-square cutoff and half-width, and the
+    fallback half-width, so that a band costs only its residual tests.
+    """
+
+    def __init__(self, scale: NestedScale, params: BandParams):
+        n = scale.n
+        self.n = n
+        self.sigma = params.sigma
+        self.bases = tuple(space.basis for space in scale.levels)
+        self.cutoffs = tuple(
+            acceptance_threshold(n, space.d, params.gamma) for space in scale.levels
+        )
+        self.halves = tuple(
+            _half_width_accepted(space, params.alpha_split[j], params.sigma, params.tuning.eps_inf[j])
+            for j, space in enumerate(scale.levels)
+        ) + (_half_width_fallback(n, params.alpha_split[scale.m], params.sigma),)
+
+    def walk(self, y: np.ndarray, every_level: bool = False):
+        """Residual tests of ``y`` from the coarsest level.
+
+        Returns ``(t_stats, selected, center, half)``: the statistics computed,
+        the 1-based accepted level (``m + 1`` for the fallback), the band
+        centre (the accepted level's projection, else ``y`` itself, not a
+        copy) and its half-width.  Stops at the first accepted level unless
+        ``every_level``.
+        """
+        t_stats = []
+        selected, center = len(self.bases) + 1, y
+        for j, (basis, cutoff) in enumerate(zip(self.bases, self.cutoffs), start=1):
+            proj = (basis @ y / self.n) @ basis
+            resid = y - proj
+            t = float(resid @ resid) / (self.sigma * self.sigma)
+            t_stats.append(t)
+            if t <= cutoff and center is y:
+                selected, center = j, proj
+                if not every_level:
+                    break
+        return t_stats, selected, center, self.halves[selected - 1]
+
+
+# The plan of each live scale and the params it was built for.  A plan holds
+# its scale's bases but not the scale, so it dies with the scale; a new params
+# for the same scale replaces it.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(scale: NestedScale, params: BandParams) -> _Plan:
+    """The plan of ``(scale, params)``, built once.
+
+    Raises :class:`~surrband.errors.FeasibilityError` on every call while
+    ``params.gamma`` is below :func:`min_feasible_gamma` (and then keeps the
+    scale's previous plan).
+    """
+    cached = _PLANS.get(scale)
+    if cached is not None and cached[0] == params:
+        return cached[1]
+    feasible_floor = min_feasible_gamma(scale, params)
+    if params.gamma < feasible_floor:
+        raise FeasibilityError(params.gamma, feasible_floor)
+    plan = _Plan(scale, params)
+    _PLANS[scale] = (params, plan)
+    return plan
+
+
 def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
     """Adaptive band over a nested scale.
 
@@ -247,43 +320,20 @@ def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
     """
     if params.m != scale.m:
         raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
-    n = scale.n
-    y = _as_vector(y, n)
-    feasible_floor = min_feasible_gamma(scale, params)
-    if params.gamma < feasible_floor:
-        raise FeasibilityError(params.gamma, feasible_floor)
-
-    t_stats = tuple(t_statistic(space, y, params.sigma) for space in scale.levels)
-    thresholds = tuple(
-        acceptance_threshold(n, space.d, params.gamma) for space in scale.levels
-    )
-    selected = scale.m + 1
-    for j, (t, cutoff) in enumerate(zip(t_stats, thresholds), start=1):
-        if t <= cutoff:
-            selected = j
-            break
-
-    if selected <= scale.m:
-        space = scale.levels[selected - 1]
-        center = space.project(y)
-        half = _half_width_accepted(
-            space, params.alpha_split[selected - 1], params.sigma,
-            params.tuning.eps_inf[selected - 1],
-        )
-        accepted = True
-    else:
+    y = _as_vector(y, scale.n)
+    plan = _plan(scale, params)
+    t_stats, selected, center, half = plan.walk(y, every_level=True)
+    if center is y:
         center = y.copy()
-        half = _half_width_fallback(n, params.alpha_split[scale.m], params.sigma)
-        accepted = False
     return Band(
         lower=center - half,
         upper=center + half,
         center=center,
         width=2.0 * half,
         selected_level=selected,
-        accepted=accepted,
-        t_stats=t_stats,
-        thresholds=thresholds,
+        accepted=selected <= scale.m,
+        t_stats=tuple(t_stats),
+        thresholds=plan.cutoffs,
     )
 
 

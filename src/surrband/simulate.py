@@ -5,7 +5,14 @@ Replications are driven by a counter-based generator (Philox) keyed by
 seed and its own index, never on execution order, so serial and multi-threaded
 runs produce byte-identical reports.  Uniform draws are mapped to normals
 through the package's own deterministic bisection inverse of the Gaussian
-distribution function.
+distribution function, :func:`~surrband.specfun.normal_quantile`; its
+verified shortcut returns the bisection's values bit for bit, so this is
+still draw stream v1: the same seed gives the same noise as ever.
+
+An adaptive replication uses the private band plan of :mod:`surrband.bands`:
+its constants are computed once per run, the walk over the levels stops at
+the first accepted one, and all surrogate candidates are checked against the
+band in one comparison.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -22,14 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import (
+# adaptive_band_nested and min_feasible_gamma are what the band plan does per
+# replication and once per run; they stay importable from this module.
+from .bands import (  # noqa: F401
     BandParams,
+    _plan,
     adaptive_band_nested,
     bonferroni_band,
     min_feasible_gamma,
     subspace_band,
 )
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError
 from .specfun import normal_quantile
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 from .surrogate import surrogate_set
@@ -43,6 +53,11 @@ __all__ = [
 ]
 
 _KINDS = ("adaptive", "bonferroni", "subspace")
+
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` would pass ``isinstance(_, int)``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +88,9 @@ class Scenario:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         truth = _as_vector(self.truth)
         object.__setattr__(self, "truth", truth)
-        if not isinstance(self.reps, int) or self.reps < 1:
+        if not _is_int(self.reps) or self.reps < 1:
             raise DomainError(f"reps must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.kind == "adaptive":
             if not isinstance(self.scale, NestedScale) or not isinstance(self.params, BandParams):
@@ -157,6 +172,12 @@ class SimReport:
         }
 
 
+# Philox objects not in use.  Resetting the state of one is cheaper than
+# building a new one; list pop/append are atomic, so each thread drawing at a
+# time holds its own, and the list never holds more than ran at once.
+_IDLE_PHILOX: list = []
+
+
 def gaussian_draw(seed: int, rep: int, n: int) -> np.ndarray:
     """The ``n`` standard normal deviates of replication ``rep``.
 
@@ -166,13 +187,23 @@ def gaussian_draw(seed: int, rep: int, n: int) -> np.ndarray:
     arguments — the foundation of run-order-independent reproducibility.
     """
     key = np.array([seed % 2**64, rep], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(n)
+    try:
+        bitgen = _IDLE_PHILOX.pop()
+    except IndexError:
+        bitgen = np.random.Philox(0)
+    # The state of a new Philox(key=key): counter zero, empty buffer.
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = bitgen.random_raw(n)
+    _IDLE_PHILOX.append(bitgen)
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     return normal_quantile(u)
-
-
-def _covers(band, g: np.ndarray) -> bool:
-    return bool(np.all((band.lower <= g) & (g <= band.upper)))
 
 
 def _worker_count(threads: int, reps: int) -> int:
@@ -189,7 +220,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
-    if not isinstance(threads, int) or threads < 1:
+    if not _is_int(threads) or threads < 1:
         raise DomainError(f"threads must be a positive integer, got {threads!r}")
     if width_threshold is not None:
         width_threshold = float(width_threshold)
@@ -202,22 +233,20 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     reps = scenario.reps
     seed = scenario.seed
 
+    plan = None
     if scenario.kind == "adaptive":
-        floor = min_feasible_gamma(scenario.scale, scenario.params)
-        if scenario.params.gamma < floor:
-            raise FeasibilityError(scenario.params.gamma, floor)
-        candidates = [c.values for c in surrogate_set(scenario.scale, f, scenario.params.tuning)]
-    else:
-        candidates = [f]
+        plan = _plan(scenario.scale, scenario.params)
+        candidates = np.stack(
+            [c.values for c in surrogate_set(scenario.scale, f, scenario.params.tuning)]
+        )
 
     widths = np.empty(reps, dtype=np.float64)
     cover_true = np.zeros(reps, dtype=bool)
-    cover_surr = np.zeros(reps, dtype=bool)
-    levels = np.zeros(reps, dtype=np.int64) if scenario.kind == "adaptive" else None
+    # Outside the adaptive procedure the only surrogate candidate is the truth.
+    cover_surr = cover_true if plan is None else np.zeros(reps, dtype=bool)
+    levels = None if plan is None else np.zeros(reps, dtype=np.int64)
 
     def build_band(y):
-        if scenario.kind == "adaptive":
-            return adaptive_band_nested(scenario.scale, y, scenario.params)
         if scenario.kind == "bonferroni":
             return bonferroni_band(y, scenario.alpha, scenario.sigma)
         return subspace_band(
@@ -228,12 +257,16 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     def work(lo: int, hi: int) -> None:
         for rep in range(lo, hi):
             y = f + sigma * gaussian_draw(seed, rep, n)
-            band = build_band(y)
-            widths[rep] = band.width
-            cover_true[rep] = _covers(band, f)
-            cover_surr[rep] = any(_covers(band, g) for g in candidates)
-            if levels is not None:
-                levels[rep] = band.selected_level
+            if plan is None:
+                band = build_band(y)
+                lower, upper, widths[rep] = band.lower, band.upper, band.width
+            else:
+                _, level, center, half = plan.walk(y)
+                levels[rep] = level
+                lower, upper, widths[rep] = center - half, center + half, 2.0 * half
+                inside = (lower <= candidates) & (candidates <= upper)
+                cover_surr[rep] = inside.all(axis=1).any()
+            cover_true[rep] = np.all((lower <= f) & (f <= upper))
 
     workers = _worker_count(threads, reps)
     if workers == 1:

@@ -3,19 +3,26 @@
 Half-widths and feasibility floors are pinned against frozen values computed
 independently with scipy.stats; structural behavior (selection, fallback,
 scale equivariance, single/nested agreement) is checked with crafted data.
+The private band plan, which ``adaptive_band_nested`` and the Monte Carlo
+loop share, is checked against the public per-level pieces at the edges of
+the selection rule.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from surrband import bands
 from surrband import (
     Band,
     BandParams,
     DomainError,
     FeasibilityError,
+    Scenario,
     SurrogateTuning,
     acceptance_threshold,
     adaptive_band_nested,
@@ -29,6 +36,7 @@ from surrband import (
     min_feasible_gamma,
     nested_tuning,
     optimal_tuning,
+    run,
     subspace_band,
     t_statistic,
     z_upper,
@@ -291,6 +299,113 @@ class TestAdaptiveNested:
         assert np.allclose(b.lower, c * a.lower, rtol=1e-12, atol=1e-12)
         for ta, tb in zip(a.t_stats, b.t_stats):
             assert tb == pytest.approx(ta, rel=1e-10)
+
+
+class TestBandPlan:
+    """``bands._plan`` against the public per-level pieces, bit for bit."""
+
+    @staticmethod
+    def _agree(scale, y, params):
+        """Check the band, the Monte Carlo walk and a level-by-level reference."""
+        t_ref = [t_statistic(space, y, params.sigma) for space in scale.levels]
+        cut_ref = [bands.acceptance_threshold(scale.n, d, params.gamma) for d in scale.dims]
+        selected = next(
+            (j for j, (t, c) in enumerate(zip(t_ref, cut_ref), start=1) if t <= c), scale.m + 1
+        )
+        center_ref = scale.levels[selected - 1].project(y) if selected <= scale.m else y
+        width_ref = level_widths(scale, params)[selected - 1]
+
+        band = adaptive_band_nested(scale, y, params)
+        t_walk, level, center, half = bands._plan(scale, params).walk(y)
+        assert band.selected_level == level == selected
+        assert band.accepted is (selected <= scale.m)
+        assert band.t_stats == tuple(t_ref)
+        assert t_walk == t_ref[: min(selected, scale.m)]  # the walk stops at acceptance
+        assert band.thresholds == tuple(cut_ref)
+        assert np.array_equal(band.center, center) and np.array_equal(center, center_ref)
+        assert band.width == 2.0 * half == width_ref
+        assert np.array_equal(band.lower, center_ref - half)
+        assert np.array_equal(band.upper, center_ref + half)
+        return band
+
+    def test_statistic_exactly_at_cutoff_accepts(self, monkeypatch):
+        scale = dyadic_scale(32, [1, 4])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        y = np.random.default_rng(410).normal(size=32)
+        t1 = t_statistic(scale.levels[0], y, 1.0)
+        real = bands.acceptance_threshold
+        for cutoff, level in ((t1, 1), (np.nextafter(t1, -np.inf), 2)):
+            monkeypatch.setattr(
+                bands, "acceptance_threshold", lambda n, d, g: cutoff if d == 1 else real(n, d, g)
+            )
+            bands._PLANS.pop(scale, None)  # rebuild the plan with this cutoff
+            band = self._agree(scale, y, params)
+            assert band.selected_level == level
+        assert band.t_stats[0] > band.thresholds[0]
+
+    def test_full_dimension_level_has_infinite_cutoff(self):
+        scale = dyadic_scale(16, [1, 16])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        band = self._agree(scale, 40.0 * np.tile([1.0, -1.0], 8), params)
+        assert band.selected_level == 2 and math.isinf(band.thresholds[1])
+
+    def test_all_rejected_fallback(self):
+        scale = dyadic_scale(32, [1, 4])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        y = 40.0 * np.tile([1.0, -1.0], 16)
+        band = self._agree(scale, y, params)
+        assert band.selected_level == 3 and band.accepted is False
+        assert band.center is not y  # the band owns its centre
+
+    def test_random_data_every_level(self):
+        scale, params = _nested_setup()
+        rng = np.random.default_rng(411)
+        truths = [  # members of levels 1, 2 and 3, and of none
+            np.zeros(256),
+            np.repeat([1.5, 0.5, -0.5, -1.5], 64),
+            np.repeat(np.linspace(-8.0, 8.0, 16), 16),
+            3.0 * np.tile([1.0, -1.0], 128),
+        ]
+        seen = {
+            self._agree(scale, f + rng.normal(size=256), params).selected_level
+            for f in truths
+            for _ in range(5)
+        }
+        assert seen == {1, 2, 3, 4}
+
+    def test_infeasible_gamma_raises_after_feasible_plan_is_cached(self):
+        scale = dyadic_scale(32, [1, 4])
+        tuning = nested_tuning(scale, 0.1, 0.2)
+        feasible = BandParams.equal_split(0.1, 0.2, 1.0, tuning)
+        infeasible = BandParams.equal_split(0.1, 0.05, 1.0, tuning)
+        y = np.random.default_rng(412).normal(size=32)
+        adaptive_band_nested(scale, y, feasible)
+        assert bands._plan(scale, feasible) is bands._plan(scale, feasible)
+        for _ in range(2):
+            with pytest.raises(FeasibilityError) as info:
+                adaptive_band_nested(scale, y, infeasible)
+            assert info.value.min_gamma == min_feasible_gamma(scale, infeasible)
+        with pytest.raises(FeasibilityError):
+            run(Scenario(kind="adaptive", truth=np.zeros(32), reps=5, seed=1, scale=scale, params=infeasible))
+        self._agree(scale, y, feasible)
+
+    def test_constants_computed_once(self, monkeypatch):
+        scale, params = _nested_setup()
+        calls = []
+        real = bands.min_feasible_gamma
+        monkeypatch.setattr(bands, "min_feasible_gamma", lambda *a: calls.append(a) or real(*a))
+        for k in range(5):
+            adaptive_band_nested(scale, np.random.default_rng(k).normal(size=256), params)
+        run(Scenario(kind="adaptive", truth=np.zeros(256), reps=20, seed=1, scale=scale, params=params))
+        assert len(calls) == 1
+
+    def test_plan_dies_with_its_scale(self):
+        scale, params = _nested_setup()
+        adaptive_band_nested(scale, np.zeros(256), params)
+        plan = weakref.ref(bands._plan(scale, params))
+        del scale
+        gc.collect()
+        assert plan() is None
 
 
 class TestAdaptiveSingle:

@@ -6,7 +6,9 @@ across thread counts.  Draw quality is checked against Gaussian moments, the
 spoiler construction against its exact norm targets.
 """
 
+import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,16 +23,25 @@ from surrband import (
     SimReport,
     Subspace,
     SurrogateTuning,
+    adaptive_band_nested,
+    cosine_basis,
     dyadic_blocks,
     dyadic_scale,
     gaussian_draw,
+    level_widths,
     make_spoiler,
     nested_tuning,
     norm2,
+    normal_quantile,
     optimal_tuning,
     run,
     sup_norm,
+    surrogate_set,
 )
+
+# gaussian_draw(0, 0, 4) of draw stream v1 (Philox + bisection quantile), the
+# fingerprint the benchmark also checks.
+V1_DRAW = (-2.2718841483245935, -0.7013279206286982, -1.218980191079758, 0.16217155791645005)
 
 
 def _adaptive_scenario(reps=200, seed=7, gamma=0.2, truth=None):
@@ -66,6 +77,32 @@ class TestGaussianDraw:
         for r in range(50):
             assert np.all(np.isfinite(gaussian_draw(1234, r, 128)))
 
+    def test_v1_fingerprint(self):
+        assert tuple(float(v) for v in gaussian_draw(0, 0, 4)) == V1_DRAW
+
+    @pytest.mark.parametrize("seed, rep, n", [(0, 0, 5), (42, 3, 64), (2**64 + 7, 11, 33), (9, 2**40, 7)])
+    def test_reused_generator_matches_a_new_one(self, seed, rep, n):
+        key = np.array([seed % 2**64, rep], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(n)
+        want = normal_quantile((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+        gaussian_draw(seed + 1, rep + 1, 3 * n)  # leave a used generator behind
+        assert np.array_equal(gaussian_draw(seed, rep, n), want)
+
+    def test_concurrent_draws_match_serial(self):
+        # Threads share the idle-generator list; a generator handed to two
+        # threads at once would mix their streams.  More workers than cores
+        # and a short switch interval make such a race likely if it exists.
+        serial = [gaussian_draw(3, rep, 64) for rep in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(gaussian_draw, 3, rep, 64) for rep in range(400)]
+                parallel = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+
 
 class TestRunDeterminism:
     def test_rerun_identical(self):
@@ -98,6 +135,68 @@ class TestRunDeterminism:
         a = run(_adaptive_scenario(seed=7))
         b = run(_adaptive_scenario(seed=8))
         assert not np.array_equal(a.widths, b.widths)
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenReports:
+    """Report digests recorded with the plain 64-step bisection quantile and
+    the per-replication ``adaptive_band_nested`` loop; any change to the
+    draw stream or to the band engine's arithmetic shows up here."""
+
+    def test_adaptive_three_levels_spoiler(self):
+        scale = dyadic_scale(64, [1, 4, 16])
+        tuning = nested_tuning(scale, 0.1, 0.1)
+        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
+        truth = make_spoiler(scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], 0.5)
+        assert len(surrogate_set(scale, truth, tuning)) >= 2
+        s = Scenario(kind="adaptive", truth=truth, reps=400, seed=7, scale=scale, params=params)
+        report = run(s, width_threshold=level_widths(scale, params)[1])
+        assert report.level_histogram == {"1": 211, "2": 16, "3": 38, "4": 135}
+        assert _digest(report) == "67cd1cc5bc5232136abc2d79506862cda086a83531e7c051d5d8f4682d70035a"
+
+    def test_bonferroni(self):
+        x = np.arange(1, 65) / 64
+        s = Scenario(kind="bonferroni", truth=np.sin(6.0 * x), reps=400, seed=8, alpha=0.05, sigma=0.5)
+        report = run(s, width_threshold=2.0)
+        assert _digest(report) == "59574188c0cd74709ea2abda9ec919c6b3864da580cb8752f2918b6267b11e8c"
+
+    def test_subspace(self):
+        x = np.arange(1, 65) / 64
+        s = Scenario(
+            kind="subspace", truth=np.cos(np.pi * x) + 0.05 * x * x, reps=400, seed=9,
+            space=cosine_basis(64, 4), alpha=0.1, sigma=0.8, per_coordinate=True,
+        )
+        assert _digest(run(s)) == "9a38d33a37a292439d9352914114774b883218f9f7dd05e61f1eada9b2889ddf"
+
+
+class TestRunMatchesBandCalls:
+    def test_every_replication(self):
+        # run() walks the levels through the band plan; each replication must
+        # give what the public one-band call gives on the same draw.
+        scale = dyadic_scale(64, [1, 4, 16])
+        tuning = nested_tuning(scale, 0.1, 0.1)
+        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
+        truth = make_spoiler(scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], 0.5)
+        candidates = [c.values for c in surrogate_set(scale, truth, tuning)]
+        s = Scenario(kind="adaptive", truth=truth, reps=300, seed=21, scale=scale, params=params)
+        report = run(s, threads=2)
+
+        def covers(band, g):
+            return bool(np.all((band.lower <= g) & (g <= band.upper)))
+
+        bands = [adaptive_band_nested(scale, truth + gaussian_draw(21, rep, 64), params) for rep in range(300)]
+        assert np.array_equal(report.widths, [b.width for b in bands])
+        assert report.level_histogram == {
+            str(j): sum(b.selected_level == j for b in bands) for j in range(1, 5)
+        }
+        assert report.true_coverage == sum(covers(b, truth) for b in bands) / 300
+        assert report.surrogate_coverage == sum(
+            any(covers(b, g) for g in candidates) for b in bands
+        ) / 300
+        assert report.true_coverage < report.surrogate_coverage
 
 
 class TestCoverageSemantics:
@@ -204,6 +303,14 @@ class TestScenarioValidation:
     def test_bad_threads(self):
         with pytest.raises(DomainError):
             run(_adaptive_scenario(reps=10), threads=0)
+        with pytest.raises(DomainError):
+            run(_adaptive_scenario(reps=10), threads=True)
+
+    @pytest.mark.parametrize("reps, seed", [(True, 1), (10, False), (True, False)])
+    def test_bool_reps_and_seed_rejected(self, reps, seed):
+        # bool is a subclass of int; a flag is not a count.
+        with pytest.raises(DomainError):
+            Scenario(kind="bonferroni", truth=np.zeros(4), reps=reps, seed=seed, alpha=0.1, sigma=1.0)
 
     @pytest.mark.parametrize("kind", ["bonferroni", "subspace"])
     @pytest.mark.parametrize(

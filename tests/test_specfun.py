@@ -4,7 +4,9 @@ The chi-square CDF is checked against an independently written regularized
 incomplete-gamma routine (power series + Lentz continued fraction), and the
 noncentral extension against a truncated Poisson mixture evaluated through
 scipy.stats.  Quantiles are checked by round-tripping through the CDF and
-against frozen reference values.
+against frozen reference values.  ``normal_quantile`` is also checked bit for
+bit against an inline copy of the plain 64-step bisection that defines draw
+stream v1.
 """
 
 import math
@@ -12,8 +14,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from surrband import specfun
 from surrband import (
     DomainError,
     birge_bounds,
@@ -142,6 +145,110 @@ class TestNormalQuantile:
         a = normal_quantile(u)
         b = normal_quantile(u.copy())
         assert np.array_equal(a, b)
+
+
+def bisection_quantile(u):
+    """The plain 64-step bisection of draw stream v1, written out in full."""
+    u = np.asarray(u, dtype=np.float64)
+    lo = np.full(u.shape, -9.5)
+    hi = np.full(u.shape, 9.5)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = special.ndtr(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} values differ, first at index {bad[:5]}"
+
+
+def philox_uniforms(key, n):
+    """Uniforms exactly as the Monte Carlo driver makes them."""
+    raw = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(n)
+    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+
+
+class TestNormalQuantileMatchesBisection:
+    """The shortcut in ``normal_quantile`` must not change a single bit."""
+
+    def test_philox_stream(self):
+        total = 0
+        for rep in range(16):
+            u = philox_uniforms((20260823, rep), 2**16)
+            assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+            total += u.size
+        assert total >= 10**6
+
+    def test_edge_grids(self):
+        k = np.arange(2**12, dtype=np.float64)
+        grids = [
+            2.0**-54 + k * 2.0**-62,                       # just above the smallest uniform
+            2.0**-54 * (1.0 + k),
+            0.5 + (k - 2**11) * 2.0**-60,                  # around 1/2, finer than its grid
+            0.5 + (k - 2**11) * 2.0**-53,                  # around 1/2, on the uniform grid
+            1.0 - 2.0**-54 - k * 2.0**-53,                 # just below the largest uniform
+            np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),   # lower tail
+            1.0 - np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),  # upper tail
+        ]
+        for u in grids:
+            assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+
+    def test_outside_the_bracket_falls_back(self):
+        # Below ndtr(-9.5), at 0, 1 and beyond, and NaN, no cell passes the
+        # check, so all 64 steps run; the results still match bit for bit.
+        u = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-22, 1.0, 2.0, -1.0, np.nan, np.inf])
+        assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+
+    @pytest.mark.parametrize("offset, full_runs", [(-1, 0), (1, 0), (-2, 1), (3, 1)])
+    def test_wrong_guess_moves_or_falls_back(self, monkeypatch, offset, full_runs):
+        # Feed the shortcut a guess ``offset`` cells away from the true cell:
+        # one cell off is moved, further off runs all 64 steps.
+        u = np.concatenate([philox_uniforms((5, 0), 64), [0.5, 2.0**-54, 1.0 - 2.0**-53]])
+        want = bisection_quantile(u)
+        lo = np.full(u.shape, -9.5)
+        hi = np.full(u.shape, 9.5)
+        for _ in range(48):  # the exact part of the bisection: its cell
+            mid = 0.5 * (lo + hi)
+            below = special.ndtr(mid) < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        cell = np.round(lo / specfun._CELL)
+        guess = (np.clip(cell + offset, -(2.0**47), 2.0**47 - 1.0) + 0.5) * specfun._CELL
+        # normal_quantile passes the lower-tail probability to ndtri and
+        # negates its result above 1/2.
+        guess = np.where(u > 0.5, -guess, guess)
+        monkeypatch.setattr(specfun.special, "ndtri", lambda t: guess.copy())
+        runs = []
+        real = specfun._bisect
+
+        def spy(uu, lo, hi, steps):
+            runs.append((steps, np.size(uu)))
+            return real(uu, lo, hi, steps)
+
+        monkeypatch.setattr(specfun, "_bisect", spy)
+        got = normal_quantile(u)
+        assert_bits_equal(got, want)
+        full = [size for steps, size in runs if steps == 48]
+        assert len(full) == full_runs
+        if full_runs:
+            assert 0 < full[0] <= u.size
+
+    def test_scalar_and_zero_d_input(self):
+        for u in (0.3, 0.5, 0.975, 2.0**-54, np.float64(0.7), np.array(0.1)):
+            got = normal_quantile(u)
+            want = bisection_quantile(u)
+            assert np.shape(got) == () and type(got) is type(want)
+            assert_bits_equal(got, want)
+
+    def test_shapes(self):
+        u = philox_uniforms((1, 2), 12).reshape(3, 4)
+        assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+        assert normal_quantile(np.empty(0)).shape == (0,)
 
 
 class TestTau:
