@@ -82,9 +82,7 @@ from .bands import (
     BandParams,
     acceptance_threshold,
     adaptive_band_nested,
-    adaptive_band_single,
     bonferroni_band,
-    gamma_feasible,
     level_widths,
     min_feasible_gamma,
     subspace_band,
@@ -129,8 +127,8 @@ __all__ = [
     "optimal_tuning", "nested_tuning",
     # bands
     "BandParams", "Band", "t_statistic", "acceptance_threshold",
-    "adaptive_band_nested", "adaptive_band_single", "gamma_feasible",
-    "min_feasible_gamma", "level_widths", "bonferroni_band", "subspace_band",
+    "adaptive_band_nested", "min_feasible_gamma", "level_widths",
+    "bonferroni_band", "subspace_band",
     # bounds
     "LowerBoundReport", "w_target", "v2_term", "surrogate_lower_bound",
     "rn_lower_bound", "lipschitz_rate", "sobolev_rate", "besov_rate",

@@ -10,10 +10,11 @@ half-width.  Coverage of the surrogate target holds with probability
 probability at least ``1 - gamma`` the band is no wider than the accepted
 level's design width.
 
-``gamma_feasible``/``min_feasible_gamma`` quantify when the residual test has
-enough power at the configured two-norm cap for that width guarantee to be
-meaningful; the adaptive constructors raise
-:class:`~surrband.errors.FeasibilityError` below the feasible range.
+``min_feasible_gamma`` quantifies when the residual test has enough power at
+the configured two-norm caps for that width guarantee to be meaningful; the
+adaptive constructor raises :class:`~surrband.errors.FeasibilityError` below
+the feasible range.  A single subspace is the one-level scale
+``NestedScale((space,))``.
 
 The per-configuration constants of the adaptive band (feasibility floor,
 chi-square cutoffs, half-widths) are computed once per ``(scale, params)`` in
@@ -43,13 +44,21 @@ __all__ = [
     "t_statistic",
     "acceptance_threshold",
     "adaptive_band_nested",
-    "adaptive_band_single",
-    "gamma_feasible",
     "min_feasible_gamma",
     "level_widths",
     "bonferroni_band",
     "subspace_band",
 ]
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; only real numbers pass, and a ``bool`` is not one
+    here (``float(True)`` would silently give 1.0)."""
+    if type(value) is float:  # the common case, without the slower checks below
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,11 @@ class BandParams:
 
     def __post_init__(self):
         for name in ("alpha", "gamma"):
-            v = float(getattr(self, name))
+            v = _number(name, getattr(self, name))
             if not (math.isfinite(v) and 0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
             object.__setattr__(self, name, v)
-        sigma = float(self.sigma)
+        sigma = _number("sigma", self.sigma)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise DomainError(f"sigma must be positive, got {sigma!r}")
         object.__setattr__(self, "sigma", sigma)
@@ -82,7 +91,7 @@ class BandParams:
             raise DomainError(
                 f"tuning must be a SurrogateTuning, got {type(self.tuning).__name__}"
             )
-        split = tuple(float(a) for a in self.alpha_split)
+        split = tuple(_number("alpha_split entries", a) for a in self.alpha_split)
         if len(split) != self.tuning.m + 1:
             raise DomainError(
                 f"alpha_split must have length m + 1 = {self.tuning.m + 1}, "
@@ -152,7 +161,7 @@ class Band:
 def t_statistic(space: Subspace, y, sigma: float) -> float:
     """Residual sum of squares ``sum (y - project(y))^2 / sigma^2``."""
     y = _as_vector(y, space.n)
-    sigma = float(sigma)
+    sigma = _number("sigma", sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     resid = y - space.project(y)
@@ -173,19 +182,6 @@ def _half_width_accepted(space: Subspace, budget: float, sigma: float, eps_inf: 
 
 def _half_width_fallback(n: int, budget: float, sigma: float) -> float:
     return sigma * z_upper(budget / (2.0 * n))
-
-
-def gamma_feasible(n: int, d: int, eps2: float, alpha: float, sigma: float = 1.0) -> float:
-    """Smallest feasible narrowness level for a single-subspace configuration.
-
-    Evaluates the rejection probability that the residual test can still
-    guarantee when the residual two-norm sits at the cap ``eps2``: the
-    chi-square noncentrality is ``n * eps2^2 / sigma^2``, the acceptance
-    budget is ``alpha / 2`` (the single-subspace procedure splits ``alpha``
-    evenly between its two branches).  A requested ``gamma`` below this value
-    cannot be certified.
-    """
-    return _feasible_rhs(n, d, eps2, float(alpha) / 2.0, sigma)
 
 
 def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> float:
@@ -337,21 +333,6 @@ def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
     )
 
 
-def adaptive_band_single(space: Subspace, y, params: BandParams) -> Band:
-    """Single-subspace adaptive band: the one-level nested procedure.
-
-    ``params`` must describe exactly one level (two budget entries; the
-    conventional choice is the even split ``(alpha/2, alpha/2)``).
-    """
-    if not isinstance(space, Subspace):
-        raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    if params.m != 1:
-        raise DomainError(
-            f"single-subspace band needs a one-level tuning, got m={params.m}"
-        )
-    return adaptive_band_nested(NestedScale((space,)), y, params)
-
-
 def bonferroni_band(y, alpha: float, sigma: float) -> Band:
     """Constant-width band around the raw data with union-bound calibration.
 
@@ -360,8 +341,8 @@ def bonferroni_band(y, alpha: float, sigma: float) -> Band:
     """
     y = _as_vector(y)
     n = y.shape[0]
-    alpha = float(alpha)
-    sigma = float(sigma)
+    alpha = _number("alpha", alpha)
+    sigma = _number("sigma", sigma)
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -389,12 +370,14 @@ def subspace_band(
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
     y = _as_vector(y, space.n)
-    alpha = float(alpha)
-    sigma = float(sigma)
+    alpha = _number("alpha", alpha)
+    sigma = _number("sigma", sigma)
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
+    if not isinstance(per_coordinate, bool):
+        raise DomainError(f"per_coordinate must be a bool, got {per_coordinate!r}")
     center = space.project(y)
     z = z_upper(alpha / (2.0 * space.n))
     if per_coordinate:

@@ -13,9 +13,9 @@ Four subcommands, all driven by a JSON config file (``--config``):
     Width lower-bound decomposition for a tuning configuration.
 ``simulate``
     Monte Carlo coverage/width certification (``--threads`` or the
-    ``SURRBAND_THREADS`` environment variable control parallelism, capped at
-    the CPU count and the replication count; results are byte-identical
-    regardless).
+    ``SURRBAND_THREADS`` environment variable, a count in ASCII digits,
+    control parallelism, capped at the CPU count and the replication count;
+    results are byte-identical regardless).
 
 Each subcommand, and each ``simulate`` procedure, has one key table that
 gives every key's check and whether it is required.  The whole config is
@@ -369,20 +369,26 @@ def _cmd_bounds(cfg: dict, args) -> int:
     return _emit(payload, cfg, args.out)
 
 
-def _resolve_threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("SURRBAND_THREADS", "1")
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise DomainError(f"SURRBAND_THREADS must be an integer, got {env!r}") from exc
+def _thread_count(text: str, source: str) -> int:
+    """A positive count in ASCII digits only: ``int`` would also take other
+    Unicode digits, underscores and surrounding spaces."""
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        value = 0
     if value < 1:
-        raise DomainError(f"thread count must be positive, got {value}")
+        raise DomainError(f"{source} must be a positive integer, got {text!r}")
     return value
 
 
+def _resolve_threads(args) -> int:
+    if args.threads is not None:
+        return _thread_count(args.threads, "--threads")
+    return _thread_count(os.environ.get("SURRBAND_THREADS", "1"), "SURRBAND_THREADS")
+
+
 def _cmd_simulate(cfg: dict, args) -> int:
+    threads = _resolve_threads(args)
     procedure, n, truth = cfg["procedure"], cfg["n"], cfg["truth"]
     if procedure == "adaptive":
         scale = _build_scale(cfg, n)
@@ -390,9 +396,9 @@ def _cmd_simulate(cfg: dict, args) -> int:
         scenario_args = {"scale": scale, "params": params}
     else:
         scenario_args = {"alpha": cfg["alpha"], "sigma": cfg["sigma"]}
-        scenario_args["per_coordinate"] = cfg.get("perCoordinate", False)
         if procedure == "subspace":
             scenario_args["space"] = _build_scale(cfg, n).levels[0]
+            scenario_args["per_coordinate"] = cfg.get("perCoordinate", False)
     if type(truth) is list:
         truth = np.asarray(truth, dtype=np.float64)
     elif truth["kind"] == "zero":
@@ -407,7 +413,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
     width_threshold = cfg.get("widthThreshold")
     if type(width_threshold) is dict:  # a level width, adaptive runs only
         width_threshold = level_widths(scale, params)[width_threshold["level"] - 1]
-    report = run(scenario, width_threshold=width_threshold, threads=_resolve_threads(args))
+    report = run(scenario, width_threshold=width_threshold, threads=threads)
     return _emit(report.to_dict(), cfg, args.out)
 
 
@@ -442,7 +448,7 @@ _COMMANDS = {
     ),
     "simulate": (
         _tagged("procedure", _SIMULATE), _cmd_simulate,
-        {"--out": _OUT, "--threads": {"type": int, "help": _THREADS_HELP}},
+        {"--out": _OUT, "--threads": {"help": _THREADS_HELP}},
         "Monte Carlo coverage/width certification",
         "Run the configured scenario; results are byte-identical for any "
         "thread count (replications are keyed by a counter-based "

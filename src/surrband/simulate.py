@@ -33,6 +33,7 @@ import numpy as np
 # replication and once per run; they stay importable from this module.
 from .bands import (  # noqa: F401
     BandParams,
+    _number,
     _plan,
     adaptive_band_nested,
     bonferroni_band,
@@ -52,12 +53,18 @@ __all__ = [
     "make_spoiler",
 ]
 
-_KINDS = ("adaptive", "bonferroni", "subspace")
-
 
 def _is_int(value) -> bool:
     """An ``int`` that is not a ``bool`` (``True`` would pass ``isinstance(_, int)``)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The fields each kind reads besides kind, truth, reps and seed.
+_FIELDS = {
+    "adaptive": ("scale", "params"),
+    "bonferroni": ("alpha", "sigma"),
+    "subspace": ("space", "alpha", "sigma", "per_coordinate"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +73,12 @@ class Scenario:
 
     ``kind`` selects the procedure: ``"adaptive"`` (requires ``scale`` and
     ``params``), ``"bonferroni"`` (requires ``alpha`` and ``sigma``), or
-    ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``); ``alpha``
-    must lie in (0, 1) and ``sigma`` be finite and positive, checked here
-    rather than at the first replication.  ``truth`` is the mean vector;
-    noise is ``N(0, sigma^2)`` per coordinate.
+    ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``, and reads the
+    bool ``per_coordinate``); ``alpha`` must be a number in (0, 1) and
+    ``sigma`` a finite positive number, checked here rather than at the first
+    replication.  A field that the kind does not read must be left at
+    ``None`` or ``False``.  ``truth`` is the mean vector; noise is
+    ``N(0, sigma^2)`` per coordinate.
     """
 
     kind: str
@@ -84,8 +93,12 @@ class Scenario:
     per_coordinate: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in _FIELDS:
+            raise DomainError(f"kind must be one of {tuple(_FIELDS)}, got {self.kind!r}")
+        for name in ("scale", "params", "space", "alpha", "sigma", "per_coordinate"):
+            value = getattr(self, name)
+            if name not in _FIELDS[self.kind] and value is not None and value is not False:
+                raise DomainError(f"{self.kind} scenarios do not use {name}=, got {value!r}")
         truth = _as_vector(self.truth)
         object.__setattr__(self, "truth", truth)
         if not _is_int(self.reps) or self.reps < 1:
@@ -102,7 +115,7 @@ class Scenario:
         else:
             if self.alpha is None or self.sigma is None:
                 raise DomainError(f"{self.kind} scenarios need alpha= and sigma=")
-            alpha, sigma = float(self.alpha), float(self.sigma)
+            alpha, sigma = _number("alpha", self.alpha), _number("sigma", self.sigma)
             if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
                 raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
             if not (math.isfinite(sigma) and sigma > 0.0):
@@ -112,6 +125,10 @@ class Scenario:
             if self.kind == "subspace":
                 if not isinstance(self.space, Subspace):
                     raise DomainError("subspace scenarios need space=")
+                if not isinstance(self.per_coordinate, bool):
+                    raise DomainError(
+                        f"per_coordinate must be a bool, got {self.per_coordinate!r}"
+                    )
                 if truth.shape[0] != self.space.n:
                     raise DomainError(
                         f"truth has length {truth.shape[0]} but the subspace grid is {self.space.n}"

@@ -15,13 +15,24 @@ Conventions
 * ``qconst(m, beta, xi)`` returns the *scaled mean separation* ``c``: the
   separation enters the noncentral distribution as ``ncp = (c*sqrt(m))^2``.
 
-All quantile routines are defined by bracketed bisection on monotone
-distribution functions rather than by closed-form inverses, so they stay
-accurate deep in the tails, and the scalar entry points are memoized (every
-function here is pure).  ``normal_quantile`` locates the bracket of the first
-48 of its 64 bisection steps from ``scipy.special.ndtri`` and checks it with
-the bisection's own predicate, which gives the bisection's result bit for bit
-at about a third of the cost (draw stream v1 of :mod:`surrband.simulate`).
+The Gaussian quantiles are defined by bisection on the distribution
+function, so they stay accurate deep in the tails, and the scalar entry points
+are memoized (every function here is pure).  ``normal_quantile`` locates the
+bracket of the first 48 of its 64 bisection steps from ``scipy.special.ndtri``
+and checks it with the bisection's own predicate, which gives the bisection's
+result bit for bit at about a third of the cost (draw stream v1 of
+:mod:`surrband.simulate`).
+
+The chi-square layer is a validated call into ``scipy.special``: the central
+law through the regularized incomplete gamma function and its inverse, the
+noncentral law through ``chndtr``/``chndtrix``/``chndtrinc``.  Checked against
+an ``mpmath`` oracle (``tests/test_specfun.py``), ``chi2_cdf`` is within 1e-12
+absolute for df up to 4095 and ncp up to 5000, ``chi2_quantile`` returns a
+``q`` with ``|F(q) - u| <= 1e-8 * min(u, 1 - u)`` for ``u`` in
+``[1e-10, 1 - 1e-6]``, and ``qconst`` meets its defining equation to 1e-10
+relative.  A non-finite library result (``chndtr`` and ``chndtrix`` return NaN
+for ncp above about 1e11) raises :class:`~surrband.errors.DomainError` instead
+of being returned.
 """
 
 from __future__ import annotations
@@ -182,13 +193,6 @@ def tau_inv(t: float) -> float:
 
 # --- chi-square -----------------------------------------------------------
 
-# Far-tail cutoff: outside mean +/- (2*sqrt((df+2*ncp)*t) + 2*t) at t=40 the
-# exact tail probability is below e^-40 ~ 4e-18, so returning 0 or 1 is well
-# inside the 1e-9 accuracy budget.  (A plain multiple-of-standard-deviation
-# window is not safe here: at df=1 the tail at 20 standard deviations is
-# still ~6e-8.)
-_TAIL_EXPONENT = 40.0
-
 
 def _validate_chi2_args(df: float, ncp: float) -> tuple[float, float]:
     df = _check_finite("df", df)
@@ -198,71 +202,45 @@ def _validate_chi2_args(df: float, ncp: float) -> tuple[float, float]:
     return df, ncp
 
 
+def _library_value(value, name: str, *args) -> float:
+    """``value`` of ``name(*args)`` as a float; :class:`DomainError` if the
+    library returned NaN or inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name}{args!r} is outside the range of scipy.special, got {value!r}")
+    return value
+
+
 def chi2_cdf(x: float, df: float, ncp: float = 0.0) -> float:
     """Distribution function of ``||N(mu, I_df)||^2`` with ``sum(mu^2) = ncp``.
 
-    The central case is the regularized lower incomplete gamma function; the
-    noncentral case is the Poisson(ncp/2) mixture of central distributions,
-    truncated two-sided where the Poisson mass falls below 1e-14.  Absolute
-    error is below 1e-9 over the supported range.
+    The central case is the regularized lower incomplete gamma function, the
+    noncentral case ``scipy.special.chndtr``; absolute error below 1e-12 on
+    the oracle grid of the module docstring.
     """
     df, ncp = _validate_chi2_args(df, ncp)
     x = _check_finite("x", x)
     if x <= 0.0:
         return 0.0
-
-    # Far-tail short-circuit (see _TAIL_EXPONENT note above).
-    spread = math.sqrt((df + 2.0 * ncp) * _TAIL_EXPONENT)
-    mean = df + ncp
-    if x <= mean - 2.0 * spread:
-        return 0.0
-    if x >= mean + 2.0 * spread + 2.0 * _TAIL_EXPONENT:
-        return 1.0
-
     if ncp == 0.0:
-        return float(special.gammainc(df / 2.0, x / 2.0))
-
-    half = ncp / 2.0
-    pad = 10.0 * math.sqrt(half) + 30.0
-    k_lo = max(0, int(math.floor(half - pad)))
-    k_hi = int(math.ceil(half + pad))
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    log_w = -half + ks * math.log(half) - special.gammaln(ks + 1.0)
-    weights = np.exp(log_w)
-    terms = special.gammainc(df / 2.0 + ks, x / 2.0)
-    value = float(np.dot(weights, terms))
-    return min(1.0, max(0.0, value))
+        return _library_value(special.gammainc(df / 2.0, x / 2.0), "chi2_cdf", x, df, ncp)
+    return _library_value(special.chndtr(x, df, ncp), "chi2_cdf", x, df, ncp)
 
 
 @lru_cache(maxsize=None)
 def chi2_quantile(u: float, df: float, ncp: float = 0.0) -> float:
     """Quantile of the (non)central chi-square distribution.
 
-    Brackets the root by doubling an initial upper bound of ``df + ncp + 10``
-    until the distribution function exceeds ``u``, then bisects until the
-    bracket width is below ``1e-12 * max(1, hi)``.
+    ``2 * gammaincinv(df/2, u)`` in the central case, ``scipy.special.chndtrix``
+    otherwise; ``|chi2_cdf(q) - u| <= 1e-8 * min(u, 1 - u)`` on the oracle
+    grid of the module docstring.
     """
     df, ncp = _validate_chi2_args(df, ncp)
     u = _check_finite("u", u)
     _require(0.0 < u < 1.0, f"u must lie in (0, 1), got {u!r}")
-    lo = 0.0
-    hi = df + ncp + 10.0
-    for _ in range(200):
-        if chi2_cdf(hi, df, ncp) >= u:
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - would need u within 1e-300 of 1
-        raise DomainError(f"failed to bracket the chi-square quantile at u={u!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        if chi2_cdf(mid, df, ncp) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if ncp == 0.0:
+        return _library_value(2.0 * special.gammaincinv(df / 2.0, u), "chi2_quantile", u, df, ncp)
+    return _library_value(special.chndtrix(u, df, ncp), "chi2_quantile", u, df, ncp)
 
 
 # --- calibration constants ------------------------------------------------
@@ -284,6 +262,12 @@ def kappa(alpha: float, gamma: float) -> float:
     return (2.0 * math.log1p(4.0 * delta * delta)) ** 0.25
 
 
+# Relative residual of qconst's defining equation above which the library's
+# root is rejected.  Roots that hold reach about 1e-13; failures (noncentral
+# tails below about 1e-60) are off by orders of magnitude.
+_QCONST_RTOL = 1e-9
+
+
 @lru_cache(maxsize=None)
 def qconst(m: int, beta: float, xi: float) -> float:
     """Scaled mean separation at which a level-``xi`` chi-square test on ``m``
@@ -295,10 +279,10 @@ def qconst(m: int, beta: float, xi: float) -> float:
         t_star = chi2_quantile(1 - xi, m)
 
     i.e. with the separation expressed as ``c * sqrt(m)`` in root-sum-of-squares
-    units.  The left side is strictly decreasing in ``c``, so the root is found
-    by bisection on ``[0, 64]``; if no root exists there a
-    :class:`~surrband.errors.DomainError` is raised.  Requires
-    ``0 < beta < 1 - xi < 1``.
+    units: ``c = sqrt(chndtrinc(t_star, m, beta) / m)``.  The root is checked
+    against the equation, and a :class:`~surrband.errors.DomainError` is
+    raised if it is not finite or misses ``beta`` by more than 1e-9 relative.
+    Requires ``0 < beta < 1 - xi < 1``.
     """
     m = int(m)
     _require(m >= 1, f"m must be a positive integer, got {m!r}")
@@ -310,25 +294,14 @@ def qconst(m: int, beta: float, xi: float) -> float:
         f"beta must lie in (0, 1 - xi); got beta={beta!r}, xi={xi!r}",
     )
     t_star = chi2_quantile(1.0 - xi, m)
-
-    def accept_prob(c: float) -> float:
-        return chi2_cdf(t_star, m, c * c * m)
-
-    lo, hi = 0.0, 64.0
-    # accept_prob(0) = 1 - xi > beta by construction of t_star.
-    if accept_prob(hi) > beta:  # pragma: no cover - needs beta within e-40 of 1-xi
+    ncp = float(special.chndtrinc(t_star, m, beta))
+    c = math.sqrt(ncp / m) if ncp >= 0.0 else math.nan
+    if not (math.isfinite(c) and abs(chi2_cdf(t_star, m, c * c * m) - beta) <= _QCONST_RTOL * beta):
         raise DomainError(
-            f"no separation in [0, 64] reaches acceptance probability {beta!r}"
+            f"no separation found with acceptance probability {beta!r} "
+            f"(m={m}, xi={xi!r})"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        if accept_prob(mid) > beta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return c
 
 
 def econst(m: int, alpha: float, gamma: float) -> float:

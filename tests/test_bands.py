@@ -2,7 +2,7 @@
 
 Half-widths and feasibility floors are pinned against frozen values computed
 independently with scipy.stats; structural behavior (selection, fallback,
-scale equivariance, single/nested agreement) is checked with crafted data.
+scale equivariance, the one-level scale) is checked with crafted data.
 The private band plan, which ``adaptive_band_nested`` and the Monte Carlo
 loop share, is checked against the public per-level pieces at the edges of
 the selection rule.
@@ -25,13 +25,12 @@ from surrband import (
     Scenario,
     SurrogateTuning,
     acceptance_threshold,
+    NestedScale,
     adaptive_band_nested,
-    adaptive_band_single,
     bonferroni_band,
     chi2_quantile,
     dyadic_blocks,
     dyadic_scale,
-    gamma_feasible,
     level_widths,
     min_feasible_gamma,
     nested_tuning,
@@ -156,28 +155,64 @@ class TestBandParams:
             BandParams(alpha=0.1, gamma=0.1, sigma=0.0, tuning=tuning, alpha_split=(0.05, 0.05))
 
 
+class TestNoCoercion:
+    """A bool or a string is not a number here, and ``per_coordinate`` is a bool."""
+
+    SPACE = dyadic_blocks(8, 2)
+    TUNING = SurrogateTuning(eps2=(0.5,), eps_inf=(0.3,))
+
+    @pytest.mark.parametrize("call", [
+        lambda t: BandParams(alpha=0.1, gamma=0.1, sigma=True, tuning=t, alpha_split=(0.05, 0.05)),
+        lambda t: BandParams(alpha=0.1, gamma=0.1, sigma="1.0", tuning=t, alpha_split=(0.05, 0.05)),
+        lambda t: BandParams(alpha="0.1", gamma=0.1, sigma=1.0, tuning=t, alpha_split=(0.05, 0.05)),
+        lambda t: BandParams(alpha=0.1, gamma=0.1, sigma=1.0, tuning=t, alpha_split=(0.05, False)),
+        lambda t: bonferroni_band(np.zeros(8), 0.1, True),
+        lambda t: bonferroni_band(np.zeros(8), "0.1", 1.0),
+        lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, True),
+        lambda t: t_statistic(TestNoCoercion.SPACE, np.zeros(8), True),
+        lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate="no"),
+        lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate=1),
+        lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate=None),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(DomainError):
+            call(self.TUNING)
+
+    def test_numpy_numbers_pass(self):
+        band = bonferroni_band(np.zeros(8), np.float32(0.1), np.int64(2))
+        assert band.width == bonferroni_band(np.zeros(8), float(np.float32(0.1)), 2.0).width
+
+
 class TestGammaFeasible:
+    """The per-level feasibility floor ``bands._feasible_rhs(n, d, eps2, prob, sigma)``."""
+
     def test_frozen(self):
-        # n=256, d=4, achievable eps2 at alpha=gamma=0.1.  The single-band
-        # level budget is alpha/2, so the quantile is taken at 0.05.
-        assert gamma_feasible(256, 4, 0.628706722578318, 0.1, 1.0) == pytest.approx(
+        # n=256, d=4, achievable eps2 at alpha=gamma=0.1.  A one-level band
+        # splits alpha evenly, so the level budget is 0.05.
+        assert bands._feasible_rhs(256, 4, 0.628706722578318, 0.05, 1.0) == pytest.approx(
+            0.012430695455013963, abs=1e-9
+        )
+        space = dyadic_blocks(256, 4)
+        tuning = optimal_tuning(space, 0.1, 0.1, achievable=True)
+        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
+        assert min_feasible_gamma(NestedScale((space,)), params) == pytest.approx(
             0.012430695455013963, abs=1e-9
         )
 
     def test_decreasing_in_eps2(self):
-        a = gamma_feasible(256, 4, 0.4, 0.05, 1.0)
-        b = gamma_feasible(256, 4, 0.6, 0.05, 1.0)
+        a = bands._feasible_rhs(256, 4, 0.4, 0.025, 1.0)
+        b = bands._feasible_rhs(256, 4, 0.6, 0.025, 1.0)
         assert b < a
 
     def test_sigma_equivariance(self):
         # Scaling sigma and eps2 together leaves the floor unchanged.
-        a = gamma_feasible(256, 4, 0.5, 0.05, 1.0)
-        b = gamma_feasible(256, 4, 1.5, 0.05, 3.0)
+        a = bands._feasible_rhs(256, 4, 0.5, 0.025, 1.0)
+        b = bands._feasible_rhs(256, 4, 1.5, 0.025, 3.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gamma_feasible(4, 4, 0.5, 0.05, 1.0)  # no residual dof
+            bands._feasible_rhs(4, 4, 0.5, 0.025, 1.0)  # no residual dof
 
 
 class TestMinFeasibleGamma:
@@ -186,11 +221,10 @@ class TestMinFeasibleGamma:
         assert min_feasible_gamma(scale, params) == pytest.approx(0.022105905206293297, abs=1e-8)
 
     def test_is_max_over_levels(self):
-        # Each level contributes the feasibility floor at its own budget;
-        # gamma_feasible halves its alpha argument, so pass twice the split.
+        # Each level contributes the feasibility floor at its own budget.
         scale, params = _nested_setup()
         per_level = [
-            gamma_feasible(256, d, e2, 2.0 * a, params.sigma)
+            bands._feasible_rhs(256, d, e2, a, params.sigma)
             for d, e2, a in zip(scale.dims, params.tuning.eps2, params.alpha_split)
         ]
         assert min_feasible_gamma(scale, params) == pytest.approx(max(per_level), rel=1e-12)
@@ -409,30 +443,25 @@ class TestBandPlan:
 
 
 class TestAdaptiveSingle:
-    def test_matches_one_level_nested(self):
+    """A single subspace is the one-level scale ``NestedScale((space,))``."""
+
+    @staticmethod
+    def _setup():
         space = dyadic_blocks(256, 4)
         tuning = optimal_tuning(space, 0.1, 0.1, achievable=True)
-        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
+        return NestedScale((space,)), BandParams.equal_split(0.1, 0.1, 1.0, tuning)
+
+    def test_matches_one_level_nested(self):
+        scale, params = self._setup()
         rng = np.random.default_rng(408)
         for _ in range(5):
-            y = rng.normal(size=256)
-            from surrband import NestedScale
-
-            a = adaptive_band_single(space, y, params)
-            b = adaptive_band_nested(NestedScale((space,)), y, params)
-            assert np.array_equal(a.lower, b.lower)
-            assert np.array_equal(a.upper, b.upper)
-            assert a.width == b.width
-            assert a.selected_level == b.selected_level
-            assert a.accepted == b.accepted
+            TestBandPlan._agree(scale, rng.normal(size=256), params)
 
     def test_accept_and_reject_paths(self):
-        space = dyadic_blocks(256, 4)
-        tuning = optimal_tuning(space, 0.1, 0.1, achievable=True)
-        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
-        smooth = adaptive_band_single(space, np.zeros(256), params)
+        scale, params = self._setup()
+        smooth = adaptive_band_nested(scale, np.zeros(256), params)
         assert smooth.accepted is True and smooth.selected_level == 1
-        rough = adaptive_band_single(space, 50.0 * np.tile([1.0, -1.0], 128), params)
+        rough = adaptive_band_nested(scale, 50.0 * np.tile([1.0, -1.0], 128), params)
         assert rough.accepted is False and rough.selected_level == 2
 
 

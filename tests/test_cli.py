@@ -279,6 +279,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
         capsys.readouterr()
 
+    # int() accepts all of these: underscores, spaces, non-ASCII digits (U+0662
+    # is an Arabic-Indic two), and integers longer than it converts.
+    BAD_COUNTS = ["1_0", " \u0662", "\u0662", " 2 ", "+2", "2.0", "0", "-1", "", "many", "1" * 5000]
+
+    @pytest.mark.parametrize("text", BAD_COUNTS)
+    def test_bad_threads_flag_rejected(self, tmp_path, capsys, text):
+        cfg = _write_config(tmp_path, _simulate_config())
+        assert main(["simulate", "--config", cfg, "--threads", text]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", BAD_COUNTS)
+    def test_bad_threads_env_rejected(self, tmp_path, monkeypatch, capsys, text):
+        cfg = _write_config(tmp_path, _simulate_config())
+        monkeypatch.setenv("SURRBAND_THREADS", text)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "SURRBAND_THREADS" in capsys.readouterr().err
+
     def test_width_threshold_level_form(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path, _simulate_config(widthThreshold={"kind": "levelWidth", "level": 2})

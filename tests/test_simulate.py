@@ -323,6 +323,51 @@ class TestScenarioValidation:
             Scenario(kind=kind, truth=np.zeros(8), reps=10, seed=1, space=space, alpha=alpha, sigma=sigma)
 
 
+    @pytest.mark.parametrize("kind, field", [
+        ("adaptive", "sigma"),
+        ("adaptive", "alpha"),
+        ("adaptive", "per_coordinate"),
+        ("adaptive", "space"),
+        ("bonferroni", "per_coordinate"),
+        ("bonferroni", "space"),
+        ("bonferroni", "scale"),
+        ("subspace", "params"),
+    ])
+    def test_unused_field_rejected(self, kind, field):
+        base = _adaptive_scenario()
+        values = {
+            "scale": base.scale, "params": base.params, "space": dyadic_blocks(32, 4),
+            "alpha": 0.9, "sigma": 50.0, "per_coordinate": True,
+        }
+        used = {"adaptive": ("scale", "params"), "bonferroni": ("alpha", "sigma"),
+                "subspace": ("space", "alpha", "sigma")}[kind]
+        with pytest.raises(DomainError, match="do not use"):
+            Scenario(kind=kind, truth=np.zeros(32), reps=10, seed=1,
+                     **{k: values[k] for k in used + (field,)})
+
+    def test_unused_fields_may_stay_none_or_false(self):
+        s = Scenario(
+            kind="bonferroni", truth=np.zeros(8), reps=10, seed=1, alpha=0.1, sigma=1.0,
+            scale=None, params=None, space=None, per_coordinate=False,
+        )
+        assert s.per_coordinate is False
+
+    @pytest.mark.parametrize("flag", ["no", 1, None, np.True_])
+    def test_per_coordinate_must_be_bool(self, flag):
+        with pytest.raises(DomainError, match="per_coordinate"):
+            Scenario(
+                kind="subspace", truth=np.zeros(8), reps=10, seed=1, space=dyadic_blocks(8, 2),
+                alpha=0.1, sigma=1.0, per_coordinate=flag,
+            )
+
+    @pytest.mark.parametrize("kind", ["bonferroni", "subspace"])
+    @pytest.mark.parametrize("alpha, sigma", [(0.1, True), (0.1, "1.0"), ("0.1", 1.0)])
+    def test_alpha_and_sigma_must_be_numbers(self, kind, alpha, sigma):
+        space = dyadic_blocks(8, 2) if kind == "subspace" else None
+        with pytest.raises(DomainError):
+            Scenario(kind=kind, truth=np.zeros(8), reps=10, seed=1, space=space, alpha=alpha, sigma=sigma)
+
+
 class TestWorkerCount:
     """The worker cap, checked as a pure function: no test starts many threads."""
 

@@ -1,17 +1,18 @@
 """Tests for the special-function layer.
 
-The chi-square CDF is checked against an independently written regularized
-incomplete-gamma routine (power series + Lentz continued fraction), and the
-noncentral extension against a truncated Poisson mixture evaluated through
-scipy.stats.  Quantiles are checked by round-tripping through the CDF and
-against frozen reference values.  ``normal_quantile`` is also checked bit for
-bit against an inline copy of the plain 64-step bisection that defines draw
-stream v1.
+The chi-square layer is checked against a 40-digit ``mpmath`` oracle (the
+accuracy the ``specfun`` docstring states), against an independently written
+regularized incomplete-gamma routine (power series + Lentz continued
+fraction), and against scipy.stats.  Quantiles are also checked by
+round-tripping through the CDF and against frozen reference values.
+``normal_quantile`` is also checked bit for bit against an inline copy of the
+plain 64-step bisection that defines draw stream v1.
 """
 
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -328,8 +329,7 @@ class TestChi2CdfNoncentral:
             assert abs(got - want) < 1e-9, (df, ncp, x)
 
     def test_far_tails_shortcut_consistent(self):
-        # Values far outside the bulk must return exactly 0 or 1, and scipy
-        # must agree to within the documented accuracy.
+        # Values far outside the bulk return exactly 0 or 1, and scipy agrees.
         for df, ncp in [(1, 0.0), (5, 3.0), (100, 50.0), (252, 101.0)]:
             mean = df + ncp
             sd = math.sqrt(2.0 * (df + 2.0 * ncp))
@@ -370,6 +370,100 @@ class TestChi2Quantile:
         for u in [0.0, 1.0, -0.2, 1.2]:
             with pytest.raises(DomainError):
                 chi2_quantile(u, 5)
+
+
+def chi2_cdf_mp(x, df, ncp):
+    """40-digit oracle for ``P(||N(mu, I_df)||^2 <= x)`` with ``sum(mu^2) = ncp``.
+
+    The central law is mpmath's regularized incomplete gamma function.  The
+    noncentral law is the Poisson(ncp/2) mixture of central laws with df + 2k
+    degrees of freedom, summed over k within 15 standard deviations (plus 40)
+    of the Poisson mean, where the neglected mass is below 1e-40.  The terms
+    follow from one incomplete gamma value by the recurrences
+    ``P(a + 1, y) = P(a, y) - y^a e^-y / Gamma(a + 1)`` and
+    ``w(k + 1) = w(k) * h / (k + 1)``.
+    """
+    with mp.workdps(40):
+        x, a = mp.mpf(x), mp.mpf(df) / 2
+        if x <= 0:
+            return mp.mpf(0)
+        y = x / 2
+        if ncp == 0:
+            return mp.gammainc(a, 0, y, regularized=True)
+        h = mp.mpf(ncp) / 2
+        spread = 15.0 * math.sqrt(ncp / 2.0) + 40.0
+        k_lo = max(0, math.floor(ncp / 2.0 - spread))
+        k_hi = math.ceil(ncp / 2.0 + spread)
+        p = mp.gammainc(a + k_lo, 0, y, regularized=True)
+        w = mp.exp(-h + k_lo * mp.log(h) - mp.loggamma(k_lo + 1))
+        t = mp.exp((a + k_lo) * mp.log(y) - y - mp.loggamma(a + k_lo + 1))
+        total = mp.mpf(0)
+        for k in range(k_lo, k_hi + 1):
+            total += w * p
+            p -= t
+            w *= h / (k + 1)
+            t *= y / (a + k + 1)
+        return total
+
+
+ORACLE_DFS = (1, 3, 12, 252, 4095)
+ORACLE_NCPS = (0.0, 0.5, 5.0, 500.0, 5000.0)
+ORACLE_US = (1e-10, 1e-6, 1e-3, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-6)
+
+
+def _oracle_xs(df, ncp):
+    """From far below to far above the bulk: mean +- up to 40 sd, mean/1000, 10*mean."""
+    mean, sd = df + ncp, math.sqrt(2.0 * (df + 2.0 * ncp))
+    zs = (-12, -6, -3, -1, 0, 1, 3, 6, 12, 40)
+    return sorted({mean * 1e-3, mean * 10.0} | {mean + z * sd for z in zs if mean + z * sd > 0})
+
+
+class TestChi2Oracle:
+    """The accuracy the module docstring states, against ``chi2_cdf_mp``."""
+
+    @pytest.mark.parametrize("ncp", ORACLE_NCPS)
+    @pytest.mark.parametrize("df", ORACLE_DFS)
+    def test_cdf_absolute_error(self, df, ncp):
+        errors = {
+            x: abs(chi2_cdf(x, df, ncp=ncp) - float(chi2_cdf_mp(x, df, ncp)))
+            for x in _oracle_xs(df, ncp)
+        }
+        assert max(errors.values()) <= 1e-12, errors
+
+    @pytest.mark.parametrize("ncp", ORACLE_NCPS)
+    @pytest.mark.parametrize("df", ORACLE_DFS)
+    def test_quantile_relative_error(self, df, ncp):
+        errors = {}
+        for u in ORACLE_US:
+            q = chi2_quantile(u, df, ncp=ncp)
+            with mp.workdps(40):
+                errors[u] = float(abs(chi2_cdf_mp(q, df, ncp) - mp.mpf(u)) / min(u, 1.0 - u))
+        assert max(errors.values()) <= 1e-8, errors
+
+    @pytest.mark.parametrize("m", ORACLE_DFS)
+    def test_qconst_defining_equation(self, m):
+        residuals = {}
+        for beta, xi in ((0.05, 0.05), (0.025, 0.1), (1e-6, 0.5), (0.3, 0.6), (1e-3, 1e-3)):
+            c = qconst(m, beta, xi)
+            t_star = chi2_quantile(1.0 - xi, m)
+            with mp.workdps(40):
+                ncp = mp.mpf(c) ** 2 * m
+                residuals[beta, xi] = float(abs(chi2_cdf_mp(t_star, m, ncp) - beta) / beta)
+        assert max(residuals.values()) <= 1e-10, residuals
+
+    def test_qconst_rejects_a_root_that_misses(self):
+        # Far below the library's range the noncentral root misses its equation
+        # by orders of magnitude; that is an error, not a value.
+        with pytest.raises(DomainError):
+            qconst(1, 1e-80, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: chi2_cdf(1e12, 5, ncp=1e12),
+        lambda: chi2_quantile(0.5, 5, ncp=1e12),
+    ])
+    def test_non_finite_library_value_raises(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestKappa:
