@@ -180,8 +180,10 @@ def _half_width_accepted(space: Subspace, budget: float, sigma: float, eps_inf: 
     return sigma * space.omega * z_upper(budget / (2.0 * space.n)) + eps_inf
 
 
-def _half_width_fallback(n: int, budget: float, sigma: float) -> float:
-    return sigma * z_upper(budget / (2.0 * n))
+def _bonferroni_half_width(n: int, alpha: float, sigma: float) -> float:
+    """``sigma * z_upper(alpha / (2n))``: the half-width of the Bonferroni band,
+    which is also the adaptive band's fallback with ``alpha`` its budget."""
+    return sigma * z_upper(alpha / (2.0 * n))
 
 
 def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> float:
@@ -234,7 +236,7 @@ def level_widths(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
         )
         for j, space in enumerate(scale.levels)
     ]
-    widths.append(2.0 * _half_width_fallback(scale.n, params.alpha_split[scale.m], params.sigma))
+    widths.append(2.0 * _bonferroni_half_width(scale.n, params.alpha_split[scale.m], params.sigma))
     return tuple(widths)
 
 
@@ -256,7 +258,7 @@ class _Plan:
         self.halves = tuple(
             _half_width_accepted(space, params.alpha_split[j], params.sigma, params.tuning.eps_inf[j])
             for j, space in enumerate(scale.levels)
-        ) + (_half_width_fallback(n, params.alpha_split[scale.m], params.sigma),)
+        ) + (_bonferroni_half_width(n, params.alpha_split[scale.m], params.sigma),)
 
     def walk(self, y: np.ndarray, every_level: bool = False):
         """Residual tests of ``y`` from the coarsest level.
@@ -347,7 +349,7 @@ def bonferroni_band(y, alpha: float, sigma: float) -> Band:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    half = sigma * z_upper(alpha / (2.0 * n))
+    half = _bonferroni_half_width(n, alpha, sigma)
     return Band(
         lower=y - half,
         upper=y + half,

@@ -9,10 +9,13 @@ distribution function, :func:`~surrband.specfun.normal_quantile`; its
 verified shortcut returns the bisection's values bit for bit, so this is
 still draw stream v1: the same seed gives the same noise as ever.
 
-An adaptive replication uses the private band plan of :mod:`surrband.bands`:
-its constants are computed once per run, the walk over the levels stops at
-the first accepted one, and all surrogate candidates are checked against the
-band in one comparison.
+The noise of a block of replications is drawn in one call, and a Bonferroni
+run checks the coverage of a whole block in one comparison; the rows are the
+same bits as single draws and single band calls.  An adaptive replication
+uses the private band plan of :mod:`surrband.bands`: its constants are
+computed once per run, the walk over the levels stops at the first accepted
+one, and all surrogate candidates are checked against the band in one
+comparison.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -30,9 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # adaptive_band_nested and min_feasible_gamma are what the band plan does per
-# replication and once per run; they stay importable from this module.
+# replication and once per run, and bonferroni_band what a Bonferroni block
+# does per row; they stay importable from this module.
 from .bands import (  # noqa: F401
     BandParams,
+    _bonferroni_half_width,
     _number,
     _plan,
     adaptive_band_nested,
@@ -194,33 +199,49 @@ class SimReport:
 # time holds its own, and the list never holds more than ran at once.
 _IDLE_PHILOX: list = []
 
+# About this many normal deviates are drawn per call in ``run``: a block of
+# ``max(1, _BLOCK_VALUES // n)`` replications.  Large enough that the numpy
+# call overhead of the quantile is spread over many rows, small enough that
+# its work arrays stay in cache.  The same for every thread count.
+_BLOCK_VALUES = 2**12
 
-def gaussian_draw(seed: int, rep: int, n: int) -> np.ndarray:
+
+def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.ndarray:
     """The ``n`` standard normal deviates of replication ``rep``.
 
     Philox keyed by ``(seed mod 2^64, rep)`` produces raw 64-bit words; the
     top 53 bits give uniforms offset into the open interval, which are mapped
     through :func:`~surrband.specfun.normal_quantile`.  Pure function of its
     arguments — the foundation of run-order-independent reproducibility.
+
+    With an int ``count`` the result is a ``(count, n)`` block whose row ``i``
+    is, bit for bit, ``gaussian_draw(seed, rep + i, n)``: every step after the
+    raw words is elementwise, so one quantile call serves the whole block.
     """
-    key = np.array([seed % 2**64, rep], dtype=np.uint64)
+    if count is not None and (not _is_int(count) or count < 1):
+        raise DomainError(f"count must be a positive integer, got {count!r}")
+    raw = np.empty((1 if count is None else count, n), dtype=np.uint64)
     try:
         bitgen = _IDLE_PHILOX.pop()
     except IndexError:
         bitgen = np.random.Philox(0)
-    # The state of a new Philox(key=key): counter zero, empty buffer.
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    raw = bitgen.random_raw(n)
+    for i, row in enumerate(raw):
+        # The state of a new Philox(key=key): counter zero, empty buffer.
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed % 2**64, rep + i], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row[:] = bitgen.random_raw(n)
     _IDLE_PHILOX.append(bitgen)
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return normal_quantile(u)
+    return normal_quantile(u if count is not None else u[0])
 
 
 def _worker_count(threads: int, reps: int) -> int:
@@ -231,16 +252,17 @@ def _worker_count(threads: int, reps: int) -> int:
 def run(scenario: Scenario, *, width_threshold: float | None = None, threads: int = 1) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
-    ``threads > 1`` splits replications into contiguous chunks executed in a
-    thread pool of at most ``os.cpu_count()`` workers; results are
-    byte-identical to the serial run.  Adaptive scenarios are checked for
-    feasibility once up front (raising
+    Each worker draws its noise one block of replications at a time (see
+    ``_BLOCK_VALUES``).  ``threads > 1`` splits replications into contiguous
+    chunks executed in a thread pool of at most ``os.cpu_count()`` workers;
+    results are byte-identical to the serial run.  Adaptive scenarios are
+    checked for feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
     if not _is_int(threads) or threads < 1:
         raise DomainError(f"threads must be a positive integer, got {threads!r}")
     if width_threshold is not None:
-        width_threshold = float(width_threshold)
+        width_threshold = _number("width_threshold", width_threshold)
         if not math.isfinite(width_threshold):
             raise DomainError("width_threshold must be finite")
 
@@ -249,6 +271,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     sigma = scenario.noise_sigma
     reps = scenario.reps
     seed = scenario.seed
+    rows = max(1, _BLOCK_VALUES // n)
 
     plan = None
     if scenario.kind == "adaptive":
@@ -256,6 +279,8 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
         candidates = np.stack(
             [c.values for c in surrogate_set(scenario.scale, f, scenario.params.tuning)]
         )
+    elif scenario.kind == "bonferroni":
+        bonferroni_half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
 
     widths = np.empty(reps, dtype=np.float64)
     cover_true = np.zeros(reps, dtype=bool)
@@ -263,27 +288,30 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     cover_surr = cover_true if plan is None else np.zeros(reps, dtype=bool)
     levels = None if plan is None else np.zeros(reps, dtype=np.int64)
 
-    def build_band(y):
-        if scenario.kind == "bonferroni":
-            return bonferroni_band(y, scenario.alpha, scenario.sigma)
-        return subspace_band(
-            scenario.space, y, scenario.alpha, scenario.sigma,
-            per_coordinate=scenario.per_coordinate,
-        )
-
     def work(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            y = f + sigma * gaussian_draw(seed, rep, n)
-            if plan is None:
-                band = build_band(y)
-                lower, upper, widths[rep] = band.lower, band.upper, band.width
-            else:
-                _, level, center, half = plan.walk(y)
-                levels[rep] = level
-                lower, upper, widths[rep] = center - half, center + half, 2.0 * half
-                inside = (lower <= candidates) & (candidates <= upper)
-                cover_surr[rep] = inside.all(axis=1).any()
-            cover_true[rep] = np.all((lower <= f) & (f <= upper))
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            block = f + sigma * gaussian_draw(seed, start, n, stop - start)
+            if scenario.kind == "bonferroni":
+                # bonferroni_band's arithmetic, for the whole block at once.
+                lower, upper = block - bonferroni_half, block + bonferroni_half
+                widths[start:stop] = 2.0 * bonferroni_half
+                cover_true[start:stop] = np.all((lower <= f) & (f <= upper), axis=1)
+                continue
+            for rep, y in enumerate(block, start):
+                if plan is None:
+                    band = subspace_band(
+                        scenario.space, y, scenario.alpha, scenario.sigma,
+                        per_coordinate=scenario.per_coordinate,
+                    )
+                    lower, upper, widths[rep] = band.lower, band.upper, band.width
+                else:
+                    _, level, center, half = plan.walk(y)
+                    levels[rep] = level
+                    lower, upper, widths[rep] = center - half, center + half, 2.0 * half
+                    inside = (lower <= candidates) & (candidates <= upper)
+                    cover_surr[rep] = inside.all(axis=1).any()
+                cover_true[rep] = np.all((lower <= f) & (f <= upper))
 
     workers = _worker_count(threads, reps)
     if workers == 1:
@@ -357,9 +385,9 @@ def make_spoiler(space: Subspace, eps2: float, eps_inf: float, margin: float) ->
     """
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    eps2 = float(eps2)
-    eps_inf = float(eps_inf)
-    margin = float(margin)
+    eps2 = _number("eps2", eps2)
+    eps_inf = _number("eps_inf", eps_inf)
+    margin = _number("margin", margin)
     if not (math.isfinite(eps2) and eps2 > 0.0):
         raise DomainError(f"eps2 must be positive, got {eps2!r}")
     if not (math.isfinite(eps_inf) and eps_inf >= 0.0):

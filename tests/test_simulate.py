@@ -24,6 +24,7 @@ from surrband import (
     Subspace,
     SurrogateTuning,
     adaptive_band_nested,
+    bonferroni_band,
     cosine_basis,
     dyadic_blocks,
     dyadic_scale,
@@ -92,16 +93,34 @@ class TestGaussianDraw:
         # Threads share the idle-generator list; a generator handed to two
         # threads at once would mix their streams.  More workers than cores
         # and a short switch interval make such a race likely if it exists.
-        serial = [gaussian_draw(3, rep, 64) for rep in range(400)]
+        # Single draws and blocks alike.
+        counts = [None, 5] * 200
+        serial = [gaussian_draw(3, rep, 64, count) for rep, count in enumerate(counts)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(gaussian_draw, 3, rep, 64) for rep in range(400)]
+                futures = [
+                    pool.submit(gaussian_draw, 3, rep, 64, count) for rep, count in enumerate(counts)
+                ]
                 parallel = [fut.result(timeout=60) for fut in futures]
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+
+    @pytest.mark.parametrize("seed, rep, n, count", [
+        (0, 0, 4, 1), (42, 3, 64, 5), (2**64 + 7, 11, 33, 9), (9, 2**40, 7, 3), (5, 0, 1, 4),
+    ])
+    def test_block_rows_are_single_draws(self, seed, rep, n, count):
+        block = gaussian_draw(seed, rep, n, count)
+        assert block.shape == (count, n)
+        for i, row in enumerate(block):
+            assert np.array_equal(row.view(np.int64), gaussian_draw(seed, rep + i, n).view(np.int64))
+
+    @pytest.mark.parametrize("count", [0, -1, True, False, 2.0, "2", np.int64(2)])
+    def test_block_count_must_be_a_positive_int(self, count):
+        with pytest.raises(DomainError, match="count"):
+            gaussian_draw(1, 0, 8, count)
 
 
 class TestRunDeterminism:
@@ -135,6 +154,53 @@ class TestRunDeterminism:
         a = run(_adaptive_scenario(seed=7))
         b = run(_adaptive_scenario(seed=8))
         assert not np.array_equal(a.widths, b.widths)
+
+
+def _dumps(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def _block_scenarios():
+    """One scenario per kind, on grids that do not divide the block sizes."""
+    x = np.arange(1, 34) / 33
+    return {
+        "adaptive": _adaptive_scenario(reps=61, seed=4, truth=0.3 * np.sin(7.0 * np.arange(32) / 32)),
+        "bonferroni": Scenario(
+            kind="bonferroni", truth=np.sin(6.0 * x), reps=61, seed=5, alpha=0.05, sigma=0.5,
+        ),
+        "subspace": Scenario(
+            kind="subspace", truth=np.cos(np.pi * x), reps=61, seed=6,
+            space=cosine_basis(33, 4), alpha=0.1, sigma=0.8, per_coordinate=True,
+        ),
+    }
+
+
+class TestBlocks:
+    """``run`` draws a block of replications per call; neither the block size
+    nor the thread count may change a byte of the report."""
+
+    @pytest.mark.parametrize("kind", ["adaptive", "bonferroni", "subspace"])
+    def test_reports_identical_for_every_block_size_and_thread_count(self, monkeypatch, kind):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        s = _block_scenarios()[kind]
+        want = _dumps(run(s, width_threshold=1.0))
+        default = simulate._BLOCK_VALUES
+        for rows in (1, 3, 7, None):
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", default if rows is None else rows * s.n)
+            for threads in (1, 2, 3):
+                assert _dumps(run(s, width_threshold=1.0, threads=threads)) == want, (rows, threads)
+
+    def test_bonferroni_matches_band_calls(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 5 * 33)
+        s = _block_scenarios()["bonferroni"]
+        report = run(s)
+        bands = [
+            bonferroni_band(s.truth + s.sigma * gaussian_draw(s.seed, rep, s.n), s.alpha, s.sigma)
+            for rep in range(s.reps)
+        ]
+        assert np.array_equal(report.widths, [b.width for b in bands])
+        covered = sum(bool(np.all((b.lower <= s.truth) & (s.truth <= b.upper))) for b in bands)
+        assert report.true_coverage == covered / s.reps
 
 
 def _digest(report) -> str:
@@ -306,6 +372,12 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             run(_adaptive_scenario(reps=10), threads=True)
 
+    @pytest.mark.parametrize("threshold", [True, False, "1.0"])
+    def test_width_threshold_must_be_a_number(self, threshold):
+        s = Scenario(kind="bonferroni", truth=np.zeros(8), reps=10, seed=1, alpha=0.1, sigma=1.0)
+        with pytest.raises(DomainError, match="width_threshold"):
+            run(s, width_threshold=threshold)
+
     @pytest.mark.parametrize("reps, seed", [(True, 1), (10, False), (True, False)])
     def test_bool_reps_and_seed_rejected(self, reps, seed):
         # bool is a subclass of int; a flag is not a count.
@@ -434,6 +506,13 @@ class TestMakeSpoiler:
             make_spoiler(space, 0.5, 0.2, 0.0)
         with pytest.raises(DomainError):
             make_spoiler(space, 0.5, 0.2, 1.5)
+
+    @pytest.mark.parametrize("eps2, eps_inf, margin", [
+        (True, 0.1, 0.5), (0.5, True, 0.5), (0.5, 0.1, True), (True, 0.1, True), ("0.5", 0.1, 0.5),
+    ])
+    def test_flags_and_strings_are_not_numbers(self, eps2, eps_inf, margin):
+        with pytest.raises(DomainError):
+            make_spoiler(dyadic_blocks(8, 2), eps2, eps_inf, margin)
 
     def test_infeasible_when_sup_cap_unreachable(self):
         # eps_inf at or above the attainable excursion: no spoiler exists.

@@ -252,6 +252,41 @@ class TestNormalQuantileMatchesBisection:
         assert normal_quantile(np.empty(0)).shape == (0,)
 
 
+def _longest_reversal(x, width):
+    """The longest span ``k <= width`` (in ulps) of a reversal of ``ndtr``,
+    ``ndtr(t) > ndtr(t + k ulps)``, among the ``width + 1`` consecutive
+    doubles from each ``x`` up; 0 if there is none."""
+    grid = [x]
+    for _ in range(width):
+        grid.append(np.nextafter(grid[-1], np.inf))
+    cdf = special.ndtr(np.stack(grid, axis=1))
+    peak = np.maximum.accumulate(cdf, axis=1)
+    spans = [k for k in range(1, width + 1) if np.any(peak[:, :-k] > cdf[:, k:])]
+    return max(spans, default=0)
+
+
+class TestNdtrReversals:
+    """The premise of the shortcut in ``normal_quantile``: ``ndtr`` is not
+    monotone at the scale of an ulp, but no reversal spans a first-stage cell
+    (``19 * 2^-48``, at least 38 ulps on ``[-9.5, 9.5]``)."""
+
+    def test_one_ulp_reversal(self):
+        x = -1.2994616580219442
+        assert special.ndtr(x) > special.ndtr(np.nextafter(x, np.inf))
+        assert _longest_reversal(np.array([x]), 4) >= 1
+
+    def test_cell_spans_at_least_38_ulps(self):
+        assert specfun._CELL >= 38 * np.spacing(specfun._Z_BRACKET_VEC)
+
+    def test_no_reversal_over_16_ulps(self):
+        rng = np.random.default_rng(20261018)
+        longest = max(
+            _longest_reversal(rng.uniform(-9.5, 9.5, size=25_000), 24) for _ in range(8)
+        )
+        # Short reversals are there to be found; long ones are not.
+        assert 1 <= longest < 16
+
+
 class TestTau:
     def test_frozen_values(self):
         assert tau(2.0) == pytest.approx(0.6826894921370859, rel=1e-14)

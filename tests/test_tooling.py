@@ -2,13 +2,18 @@
 
 ``perfbench/tracing.py`` wraps the names listed in its ``WRAPPED`` table when
 a traced run starts; a name that the package no longer has breaks that run
-only then, outside this suite.  This test catches it here.
+only then, outside this suite, and a name that the package stops calling
+through silently reads 0.  These tests catch both here.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from surrband import Scenario, simulate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +39,25 @@ def test_every_wrapped_name_resolves():
         if not hasattr(owner, attribute):
             missing.append(f"surrband.{path}.{attribute}")
     assert not missing, missing
+
+
+def test_run_draws_one_block_per_call(monkeypatch):
+    # The traced run times the draw layer by wrapping simulate.gaussian_draw;
+    # run must call it by that module name, once per block of replications.
+    calls = []
+    original = simulate.gaussian_draw
+
+    def counting(seed, rep, n, count=None):
+        calls.append(count)
+        return original(seed, rep, n, count)
+
+    monkeypatch.setattr(simulate, "gaussian_draw", counting)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    rows = simulate._BLOCK_VALUES // 64
+    reps = 2 * rows + 5
+    s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=reps, seed=1, alpha=0.1, sigma=1.0)
+    simulate.run(s)
+    assert calls == [rows, rows, 5]
+    calls.clear()
+    simulate.run(s, threads=2)  # two chunks of rows + 2 and rows + 3
+    assert sorted(calls) == [2, 3, rows, rows]
