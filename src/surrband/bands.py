@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .specfun import chi2_cdf, chi2_quantile, z_upper
+from .specfun import _LibraryRangeError, chi2_cdf, chi2_quantile, z_upper
 from .subspace import NestedScale, Subspace, _as_vector
 from .surrogate import SurrogateTuning
 
@@ -187,6 +187,15 @@ def _bonferroni_half_width(n: int, alpha: float, sigma: float) -> float:
 
 
 def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> float:
+    """Feasibility floor of one level: the central chi-square (``n - d`` degrees
+    of freedom) tail above the ``prob`` quantile of the noncentral one with
+    noncentrality ``n * eps2^2 / sigma^2``.
+
+    Where ``scipy.special.chndtrix`` gives no finite quantile (noncentralities
+    from about 1e10 up), the quantile is replaced by Cantelli's lower bound
+    :func:`_quantile_lower_bound`.  A lower cutoff can only raise the floor,
+    so feasibility stays conservative.
+    """
     if not (isinstance(n, int) and isinstance(d, int)):
         raise DomainError("n and d must be integers")
     if not 0 <= d < n:
@@ -200,8 +209,21 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     if not 0.0 < prob < 1.0:
         raise DomainError(f"probability budget must lie in (0, 1), got {prob!r}")
     ncp = n * eps2 * eps2 / (sigma * sigma)
-    cutoff = chi2_quantile(prob, n - d, ncp)
+    try:
+        cutoff = chi2_quantile(prob, n - d, ncp)
+    except _LibraryRangeError:
+        cutoff = _quantile_lower_bound(prob, n - d, ncp)
     return 1.0 - chi2_cdf(cutoff, n - d)
+
+
+def _quantile_lower_bound(prob: float, df: int, ncp: float) -> float:
+    """Cantelli's lower bound on the ``prob`` quantile of the noncentral
+    chi-square: ``max(0, mu - s * sqrt(1/prob - 1))`` with mean
+    ``mu = df + ncp`` and variance ``s^2 = 2 * (df + 2 * ncp)``, since
+    ``P(X <= mu - t * s) <= 1 / (1 + t^2)`` for every ``t > 0``."""
+    mean = df + ncp
+    sd = math.sqrt(2.0 * (df + 2.0 * ncp))
+    return max(0.0, mean - sd * math.sqrt(1.0 / prob - 1.0))
 
 
 def min_feasible_gamma(scale: NestedScale, params: BandParams) -> float:
@@ -243,15 +265,16 @@ def level_widths(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
 class _Plan:
     """The data-independent part of the adaptive band for one configuration.
 
-    Holds each level's basis, chi-square cutoff and half-width, and the
+    Holds each level's projection, chi-square cutoff and half-width, and the
     fallback half-width, so that a band costs only its residual tests.
     """
 
     def __init__(self, scale: NestedScale, params: BandParams):
         n = scale.n
-        self.n = n
         self.sigma = params.sigma
-        self.bases = tuple(space.basis for space in scale.levels)
+        # The routine behind Subspace.project, without its input checks, so
+        # the walk and t_statistic agree bit for bit.
+        self.projections = tuple(space._project for space in scale.levels)
         self.cutoffs = tuple(
             acceptance_threshold(n, space.d, params.gamma) for space in scale.levels
         )
@@ -270,9 +293,9 @@ class _Plan:
         ``every_level``.
         """
         t_stats = []
-        selected, center = len(self.bases) + 1, y
-        for j, (basis, cutoff) in enumerate(zip(self.bases, self.cutoffs), start=1):
-            proj = (basis @ y / self.n) @ basis
+        selected, center = len(self.projections) + 1, y
+        for j, (project, cutoff) in enumerate(zip(self.projections, self.cutoffs), start=1):
+            proj = project(y)
             resid = y - proj
             t = float(resid @ resid) / (self.sigma * self.sigma)
             t_stats.append(t)
@@ -284,8 +307,8 @@ class _Plan:
 
 
 # The plan of each live scale and the params it was built for.  A plan holds
-# its scale's bases but not the scale, so it dies with the scale; a new params
-# for the same scale replaces it.
+# its scale's levels but not the scale, so it dies with the scale; a new
+# params for the same scale replaces it.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

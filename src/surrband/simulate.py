@@ -217,9 +217,21 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
     With an int ``count`` the result is a ``(count, n)`` block whose row ``i``
     is, bit for bit, ``gaussian_draw(seed, rep + i, n)``: every step after the
     raw words is elementwise, so one quantile call serves the whole block.
+
+    ``seed`` must be a nonnegative int, ``n`` a positive int, and ``rep`` a
+    nonnegative int with ``rep + count <= 2**64`` (a ``bool`` is no int here);
+    anything else raises :class:`~surrband.errors.DomainError`.
     """
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     if count is not None and (not _is_int(count) or count < 1):
         raise DomainError(f"count must be a positive integer, got {count!r}")
+    if not _is_int(rep) or rep < 0 or rep + (count or 1) > 2**64:
+        raise DomainError(
+            f"rep must be a nonnegative integer with rep + count <= 2**64, got rep={rep!r}"
+        )
     raw = np.empty((1 if count is None else count, n), dtype=np.uint64)
     try:
         bitgen = _IDLE_PHILOX.pop()

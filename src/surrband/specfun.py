@@ -209,12 +209,19 @@ def _validate_chi2_args(df: float, ncp: float) -> tuple[float, float]:
     return df, ncp
 
 
+class _LibraryRangeError(DomainError):
+    """``scipy.special`` returned NaN or inf for arguments that passed every
+    check; a caller with a fallback catches only this."""
+
+
 def _library_value(value, name: str, *args) -> float:
-    """``value`` of ``name(*args)`` as a float; :class:`DomainError` if the
-    library returned NaN or inf."""
+    """``value`` of ``name(*args)`` as a float; :class:`_LibraryRangeError` if
+    the library returned NaN or inf."""
     value = float(value)
     if not math.isfinite(value):
-        raise DomainError(f"{name}{args!r} is outside the range of scipy.special, got {value!r}")
+        raise _LibraryRangeError(
+            f"{name}{args!r} is outside the range of scipy.special, got {value!r}"
+        )
     return value
 
 

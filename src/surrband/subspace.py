@@ -1,7 +1,7 @@
 """Linear regression subspaces over the uniform design grid.
 
-A :class:`Subspace` is stored as a ``(d, n)`` matrix of basis rows that are
-orthonormal with respect to the *normalized* inner product
+A :class:`Subspace` is spanned by ``d`` basis rows on ``n`` grid points that
+are orthonormal with respect to the *normalized* inner product
 
     ``<f, g> = (1/n) * sum_i f_i * g_i``,
 
@@ -12,12 +12,15 @@ so that ``norm2`` below is the root mean square.  All geometry in this package
 The module provides constructors for piecewise-constant dyadic block bases and
 grid-sampled function systems, a :class:`NestedScale` wrapper that validates a
 strictly increasing, genuinely nested chain of subspaces, and the extremal
-norm-conversion helpers tied to the leverage number ``omega``.
+norm-conversion helpers tied to the leverage number ``omega``.  A function
+system is stored as its dense ``(d, n)`` basis; a dyadic block subspace
+stores only its block boundaries, projects by block means in O(n), and builds
+its basis only when asked for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import math
@@ -93,20 +96,17 @@ class DesignGrid:
         return np.arange(1, self.n + 1, dtype=np.float64) / self.n
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A ``d``-dimensional subspace with rows orthonormal in normalized units.
 
     ``omega`` is the leverage number ``max_i sqrt(sum_j basis[j,i]^2 / n)``:
     the largest ratio ``|v_i| / (sqrt(n) * norm2(v))`` achievable by a member
-    ``v`` of the subspace.  It always lies in ``(0, 1]``.
+    ``v`` of the subspace.  It always lies in ``(0, 1]``.  Instances are
+    immutable; ``basis`` is read-only.
     """
 
-    basis: np.ndarray
-    omega: float = field(init=False)
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=np.float64, order="C")
+    def __init__(self, basis):
+        b = np.array(basis, dtype=np.float64, order="C")
         if b.ndim != 2:
             raise DomainError(f"basis must be 2-d (rows x grid), got shape {b.shape}")
         d, n = b.shape
@@ -121,26 +121,33 @@ class Subspace:
                 "product; use orthonormalize() first"
             )
         b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        leverage = np.sum(b * b, axis=0) / n
-        object.__setattr__(self, "omega", float(math.sqrt(float(np.max(leverage)))))
+        self._freeze(n=n, d=d, omega=_omega(np.sum(b * b, axis=0) / n), _rows=b)
+
+    def _freeze(self, **attributes) -> None:
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """The ``(d, n)`` read-only matrix of orthonormal basis rows."""
+        return self._rows
 
     def coefficients(self, y) -> np.ndarray:
         """Basis coefficients of the projection of ``y``."""
         y = _as_vector(y, self.n)
-        return self.basis @ y / self.n
+        return self._rows @ y / self.n
 
     def project(self, y) -> np.ndarray:
         """Orthogonal projection of ``y`` onto the subspace."""
-        return self.coefficients(y) @ self.basis
+        return self._project(_as_vector(y, self.n))
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`project` of a checked float vector of length ``n``; the band
+        plan calls it directly, so both give the same bits."""
+        return (self._rows @ y / self.n) @ self._rows
 
     def leverage_profile(self) -> np.ndarray:
         """Per-coordinate leverage ``sqrt(sum_j basis[j,i]^2 / n)``.
@@ -149,7 +156,64 @@ class Subspace:
         ratio ``|v_i| / (sqrt(n)*norm2(v))`` for the subspace member peaking
         at coordinate ``i``.
         """
-        return np.sqrt(np.sum(self.basis * self.basis, axis=0) / self.n)
+        return np.sqrt(np.sum(self._rows * self._rows, axis=0) / self.n)
+
+    def _within(self, finer: "Subspace") -> bool:
+        """Whether every basis row reconstructs from ``finer`` to within
+        ``_NESTING_TOL`` in sup norm."""
+        return all(
+            float(np.max(np.abs(row - finer.project(row)))) <= _NESTING_TOL
+            for row in self.basis
+        )
+
+
+class _Blocks(Subspace):
+    """The piecewise-constant subspace on consecutive blocks of the grid.
+
+    Stores only the block starts and sizes: basis row ``j`` is
+    ``sqrt(n / size_j)`` on block ``j`` and zero elsewhere, so projections
+    are block means, O(n) time, and the dense basis is built only when
+    :attr:`basis` is read.
+    """
+
+    def __init__(self, n: int, sizes: np.ndarray):
+        starts = np.zeros(sizes.shape[0], dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        heights = np.sqrt(n / sizes)
+        self._freeze(
+            n=n, d=sizes.shape[0], omega=_omega(heights * heights / n),
+            _starts=starts, _sizes=sizes, _heights=heights,
+        )
+
+    @property
+    def basis(self) -> np.ndarray:
+        rows = np.zeros((self.d, self.n))
+        rows[np.repeat(np.arange(self.d), self._sizes), np.arange(self.n)] = np.repeat(
+            self._heights, self._sizes
+        )
+        rows.setflags(write=False)
+        return rows
+
+    def coefficients(self, y) -> np.ndarray:
+        y = _as_vector(y, self.n)
+        return np.add.reduceat(y, self._starts) * self._heights / self.n
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        return np.repeat(np.add.reduceat(y, self._starts) / self._sizes, self._sizes)
+
+    def leverage_profile(self) -> np.ndarray:
+        return np.repeat(np.sqrt(self._heights * self._heights / self.n), self._sizes)
+
+    def _within(self, finer: Subspace) -> bool:
+        # Each block is a union of finer blocks iff its start and its end are
+        # finer block boundaries; an end is the next start, or n for the last.
+        if isinstance(finer, _Blocks):
+            return bool(np.all(np.isin(self._starts, finer._starts)))
+        return super()._within(finer)
+
+
+def _omega(leverage: np.ndarray) -> float:
+    return math.sqrt(float(np.max(leverage)))
 
 
 def orthonormalize(rows) -> np.ndarray:
@@ -186,6 +250,8 @@ def dyadic_blocks(n: int, d: int) -> Subspace:
     Block sizes are ``n // d``, with the first ``n % d`` blocks one element
     larger.  When ``d`` divides ``n`` all blocks have size ``n/d`` and
     ``omega == sqrt(d/n)``; in general ``omega == 1/sqrt(min block size)``.
+    The subspace stores only the block boundaries: projections cost O(n), and
+    ``basis`` builds the dense ``(d, n)`` matrix each time it is read.
     """
     grid = DesignGrid(n)
     if not isinstance(d, (int, np.integer)):
@@ -194,13 +260,9 @@ def dyadic_blocks(n: int, d: int) -> Subspace:
     if not 1 <= d <= grid.n:
         raise DomainError(f"d must lie in [1, n]; got d={d}, n={grid.n}")
     base, extra = divmod(grid.n, d)
-    sizes = [base + 1] * extra + [base] * (d - extra)
-    rows = np.zeros((d, grid.n))
-    start = 0
-    for j, size in enumerate(sizes):
-        rows[j, start : start + size] = math.sqrt(grid.n / size)
-        start += size
-    return Subspace(rows)
+    sizes = np.full(d, base, dtype=np.intp)
+    sizes[:extra] += 1
+    return _Blocks(grid.n, sizes)
 
 
 def function_basis(n: int, fns: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Subspace:
@@ -256,15 +318,12 @@ class NestedScale:
         dims = [s.d for s in levels]
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise DomainError(f"dimensions must strictly increase, got {dims}")
-        for j in range(len(levels) - 1):
-            finer = levels[j + 1]
-            for row in levels[j].basis:
-                resid = row - finer.project(row)
-                if float(np.max(np.abs(resid))) > _NESTING_TOL:
-                    raise DomainError(
-                        f"level {j + 1} is not contained in level {j + 2}: "
-                        "a basis row fails to reconstruct"
-                    )
+        for j in range(1, len(levels)):
+            if not levels[j - 1]._within(levels[j]):
+                raise DomainError(
+                    f"level {j} is not contained in level {j + 1}: "
+                    "a basis row fails to reconstruct"
+                )
         object.__setattr__(self, "levels", levels)
 
     @property

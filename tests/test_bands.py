@@ -28,6 +28,7 @@ from surrband import (
     NestedScale,
     adaptive_band_nested,
     bonferroni_band,
+    chi2_cdf,
     chi2_quantile,
     dyadic_blocks,
     dyadic_scale,
@@ -213,6 +214,29 @@ class TestGammaFeasible:
     def test_domain(self):
         with pytest.raises(DomainError):
             bands._feasible_rhs(4, 4, 0.5, 0.025, 1.0)  # no residual dof
+
+    @pytest.mark.parametrize("prob", [0.01, 1.0 / 30.0, 0.1])
+    @pytest.mark.parametrize("df", [1, 60, 252])
+    def test_cantelli_floor_is_conservative(self, prob, df):
+        # Where the library quantile exists, the bounded floor is never lower.
+        for ncp in np.logspace(1, 10, 19):
+            exact_q = chi2_quantile(prob, df, ncp)
+            bound_q = bands._quantile_lower_bound(prob, df, ncp)
+            assert 0.0 <= bound_q <= exact_q, ncp
+            n = df + 4
+            eps2 = math.sqrt(ncp / n)
+            bounded = 1.0 - chi2_cdf(bands._quantile_lower_bound(prob, df, n * eps2 * eps2), df)
+            assert bounded >= bands._feasible_rhs(n, 4, eps2, prob, 1.0), ncp
+
+    def test_beyond_the_library_quantile(self):
+        # chndtrix gives NaN at noncentrality 64 * 1e10; the floor is then
+        # Cantelli's, essentially 0 here.
+        with pytest.raises(DomainError, match="outside the range of scipy.special"):
+            chi2_quantile(1.0 / 30.0, 60, 64 * 1e10)
+        assert bands._feasible_rhs(64, 4, 1e5, 1.0 / 30.0, 1.0) == 0.0
+        # A noncentrality that overflows is still an input error.
+        with pytest.raises(DomainError, match="ncp"):
+            bands._feasible_rhs(64, 4, 1e200, 0.05, 1.0)
 
 
 class TestMinFeasibleGamma:

@@ -314,6 +314,16 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["surrogateCoverage"] >= payload["trueCoverage"]
 
+    def test_large_explicit_eps2_runs(self, tmp_path, capsys):
+        # Noncentrality 64 * 1e10, beyond the library's chi-square quantile:
+        # the feasibility floor falls back to a bound and the run proceeds.
+        cfg = _write_config(
+            tmp_path,
+            _simulate_config(n=64, gamma=0.1, tuning={"eps2": 100000.0, "epsInf": 1.0}, reps=20),
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["reps"] == 20
+
     def test_bonferroni_procedure(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

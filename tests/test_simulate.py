@@ -9,6 +9,7 @@ spoiler construction against its exact norm targets.
 import hashlib
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -121,6 +122,29 @@ class TestGaussianDraw:
     def test_block_count_must_be_a_positive_int(self, count):
         with pytest.raises(DomainError, match="count"):
             gaussian_draw(1, 0, 8, count)
+
+    @pytest.mark.parametrize("seed, rep, n, count, name", [
+        (1.5, 0, 2, None, "seed"),  # would be truncated to seed 1
+        (True, 0, 2, None, "seed"),
+        (-1, 0, 2, None, "seed"),
+        (np.int64(1), 0, 2, None, "seed"),
+        (1, -1, 2, None, "rep"),
+        (1, 2**64, 2, None, "rep"),
+        (1, 2**64 - 2, 2, 3, "rep"),  # the block's last key would wrap
+        (1, 1.0, 2, None, "rep"),
+        (1, False, 2, None, "rep"),
+        (1, 0, -1, None, "n"),
+        (1, 0, 0, 2, "n"),
+        (1, 0, 2.0, None, "n"),
+        (1, 0, True, None, "n"),
+    ])
+    def test_bad_arguments_rejected(self, seed, rep, n, count, name):
+        with pytest.raises(DomainError, match=name):
+            gaussian_draw(seed, rep, n, count)
+
+    def test_last_keys_accepted(self):
+        block = gaussian_draw(1, 2**64 - 3, 5, 3)
+        assert np.array_equal(block[2], gaussian_draw(1, 2**64 - 1, 5))
 
 
 class TestRunDeterminism:
@@ -263,6 +287,21 @@ class TestRunMatchesBandCalls:
             any(covers(b, g) for g in candidates) for b in bands
         ) / 300
         assert report.true_coverage < report.surrogate_coverage
+
+    def test_dyadic_run_allocates_no_dense_basis(self):
+        # A dense level-3 basis would be 256 x 4096 doubles (8 MiB); the
+        # block levels need a few vectors of length n.
+        n = 4096
+        tracemalloc.start()
+        try:
+            scale = dyadic_scale(n, [1, 16, 256])
+            params = BandParams.equal_split(0.1, 0.1, 1.0, nested_tuning(scale, 0.1, 0.1))
+            adaptive_band_nested(scale, gaussian_draw(3, 0, n), params)
+            run(Scenario(kind="adaptive", truth=np.zeros(n), reps=5, seed=3, scale=scale, params=params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * n * 8 / 4
 
 
 class TestCoverageSemantics:

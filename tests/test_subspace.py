@@ -7,6 +7,9 @@ searches over randomly sampled subspace members.
 """
 
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +30,21 @@ from surrband import (
     norm2,
     orthonormalize,
     sup_norm,
+    t_statistic,
 )
+
+
+def _dense_dyadic_rows(n, d):
+    """The dyadic basis built row by row, as a dense ``(d, n)`` matrix: the
+    reference that the block subspace must reproduce bit for bit."""
+    base, extra = divmod(n, d)
+    sizes = [base + 1] * extra + [base] * (d - extra)
+    rows = np.zeros((d, n))
+    start = 0
+    for j, size in enumerate(sizes):
+        rows[j, start : start + size] = math.sqrt(n / size)
+        start += size
+    return rows
 
 
 class TestDesignGrid:
@@ -177,6 +194,65 @@ class TestDyadicBlocks:
             dyadic_blocks(4, 0)
 
 
+class TestBlocksMatchDense:
+    """Dyadic block subspaces against the dense basis of the same blocks."""
+
+    SHAPES = [(100, 3), (4096, 256), (7, 7), (10, 3), (256, 16), (1, 1), (33, 32)]
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_omega_leverage_and_basis_bitwise(self, n, d):
+        rows = _dense_dyadic_rows(n, d)
+        s = dyadic_blocks(n, d)
+        assert (s.n, s.d) == (n, d)
+        leverage = np.sum(rows * rows, axis=0) / n
+        assert s.omega == math.sqrt(float(np.max(leverage)))
+        assert s.omega == Subspace(rows).omega
+        assert np.array_equal(s.leverage_profile().view(np.int64), np.sqrt(leverage).view(np.int64))
+        assert np.array_equal(s.basis.view(np.int64), rows.view(np.int64))
+        assert not s.basis.flags.writeable
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_projection_coefficients_and_statistic(self, n, d):
+        s, dense = dyadic_blocks(n, d), Subspace(_dense_dyadic_rows(n, d))
+        rng = np.random.default_rng(1000 + n + d)
+        for _ in range(5):
+            y = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+            assert np.max(np.abs(s.project(y) - dense.project(y))) < 1e-12
+            assert np.max(np.abs(s.coefficients(y) - dense.coefficients(y))) < 1e-12
+            t_block, t_dense = t_statistic(s, y, 0.7), t_statistic(dense, y, 0.7)
+            assert abs(t_block - t_dense) <= 1e-12 * max(1.0, t_dense)
+
+    def test_input_checked(self):
+        s = dyadic_blocks(10, 3)
+        for bad in (np.ones(9), np.ones((2, 10)), np.full(10, np.nan)):
+            with pytest.raises(DomainError):
+                s.project(bad)
+            with pytest.raises(DomainError):
+                s.coefficients(bad)
+
+    def test_immutable(self):
+        for s in (dyadic_blocks(8, 2), cosine_basis(8, 2)):
+            with pytest.raises(AttributeError):
+                s.omega = 1.0
+
+    def test_large_grid_without_dense_basis(self):
+        # The dense basis of the finest level would be 65536 x 2**20 doubles.
+        n = 2**20
+        y = np.random.default_rng(1001).normal(size=n)
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            scale = dyadic_scale(n, [1, 1024, 65536])
+            p = scale.levels[2].project(y)
+            elapsed = time.perf_counter() - began
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20
+        assert np.allclose(p[:16], np.mean(y[:16]), rtol=0, atol=1e-12)
+
+
 class TestCosineBasis:
     def test_orthonormal(self):
         s = cosine_basis(64, 5)
@@ -236,6 +312,47 @@ class TestNestedScale:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(DomainError):
             NestedScale((dyadic_blocks(8, 2), dyadic_blocks(16, 4)))
+
+    @pytest.mark.parametrize("n, dims, level", [(100, [1, 3, 7], 2), (8, [2, 3], 1), (10, [2, 4], 1)])
+    def test_non_nested_blocks_message(self, n, dims, level):
+        message = (
+            f"level {level} is not contained in level {level + 1}: "
+            "a basis row fails to reconstruct"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dyadic_scale(n, dims)
+        dense = tuple(Subspace(_dense_dyadic_rows(n, d)) for d in dims)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            NestedScale(dense)
+
+    def test_block_nesting_agrees_with_projection_check(self):
+        def accepted(levels):
+            try:
+                NestedScale(levels)
+            except DomainError:
+                return False
+            return True
+
+        for n in (1, 6, 12, 13, 16, 30):
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    blocks = (dyadic_blocks(n, a), dyadic_blocks(n, b))
+                    dense = (Subspace(_dense_dyadic_rows(n, a)), Subspace(_dense_dyadic_rows(n, b)))
+                    assert accepted(blocks) == accepted(dense), (n, a, b)
+
+    def test_only_mixed_chains_project(self, monkeypatch):
+        calls = []
+        project = Subspace.project
+        monkeypatch.setattr(Subspace, "project", lambda s, y: calls.append(s.d) or project(s, y))
+        dyadic_scale(64, [1, 4, 16])
+        assert calls == []
+        NestedScale((dyadic_blocks(64, 1), cosine_basis(64, 3)))
+        assert calls == [3]  # one row of the coarse level, projected on the cosines
+        with pytest.raises(DomainError, match="level 1 is not contained in level 2"):
+            NestedScale((dyadic_blocks(64, 2), cosine_basis(64, 3)))
+        with pytest.raises(DomainError, match="level 1 is not contained in level 2"):
+            NestedScale((cosine_basis(64, 2), dyadic_blocks(64, 4)))
+        NestedScale((cosine_basis(64, 1), dyadic_blocks(64, 4)))
 
     def test_projections_telescope(self):
         scale = dyadic_scale(64, [2, 8, 32])
