@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .specfun import _LibraryRangeError, chi2_cdf, chi2_quantile, z_upper
+from .specfun import _LibraryRangeError, _number, chi2_cdf, chi2_quantile, z_upper
 from .subspace import NestedScale, Subspace, _as_vector
 from .surrogate import SurrogateTuning
 
@@ -49,16 +49,6 @@ __all__ = [
     "bonferroni_band",
     "subspace_band",
 ]
-
-
-def _number(name: str, value) -> float:
-    """``value`` as a float; only real numbers pass, and a ``bool`` is not one
-    here (``float(True)`` would silently give 1.0)."""
-    if type(value) is float:  # the common case, without the slower checks below
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

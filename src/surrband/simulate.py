@@ -5,9 +5,12 @@ Replications are driven by a counter-based generator (Philox) keyed by
 seed and its own index, never on execution order, so serial and multi-threaded
 runs produce byte-identical reports.  Uniform draws are mapped to normals
 through the package's own deterministic bisection inverse of the Gaussian
-distribution function, :func:`~surrband.specfun.normal_quantile`; its
-verified shortcut returns the bisection's values bit for bit, so this is
-still draw stream v1: the same seed gives the same noise as ever.
+distribution function, :func:`~surrband.specfun.normal_quantile`.  It skips
+the exactly computed steps and stops each value once its bracket stops
+moving, which returns the bisection's values bit for bit, so this is still
+draw stream v1: the same seed gives the same noise as ever.  Each
+replication's Philox generator is a kept object reset to a kept state with
+only the replication index rewritten.
 
 The noise of a block of replications is drawn in one call, and a Bonferroni
 run checks the coverage of a whole block in one comparison; the rows are the
@@ -38,7 +41,6 @@ import numpy as np
 from .bands import (  # noqa: F401
     BandParams,
     _bonferroni_half_width,
-    _number,
     _plan,
     adaptive_band_nested,
     bonferroni_band,
@@ -46,7 +48,7 @@ from .bands import (  # noqa: F401
     subspace_band,
 )
 from .errors import DomainError
-from .specfun import normal_quantile
+from .specfun import _number, normal_quantile
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 from .surrogate import surrogate_set
 
@@ -194,9 +196,12 @@ class SimReport:
         }
 
 
-# Philox objects not in use.  Resetting the state of one is cheaper than
-# building a new one; list pop/append are atomic, so each thread drawing at a
-# time holds its own, and the list never holds more than ran at once.
+# Philox objects not in use, each paired with the state it is reset to: that
+# of a new Philox(key=key), counter zero and buffer empty, whose key is
+# rewritten for each row.  Resetting a kept object from a kept state is
+# cheaper than building either anew; list pop/append are atomic, so each
+# thread drawing at a time holds its own pair, and the list never holds more
+# than ran at once.
 _IDLE_PHILOX: list = []
 
 # About this many normal deviates are drawn per call in ``run``: a block of
@@ -234,24 +239,24 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
         )
     raw = np.empty((1 if count is None else count, n), dtype=np.uint64)
     try:
-        bitgen = _IDLE_PHILOX.pop()
+        bitgen, state = _IDLE_PHILOX.pop()
     except IndexError:
         bitgen = np.random.Philox(0)
-    for i, row in enumerate(raw):
-        # The state of a new Philox(key=key): counter zero, empty buffer.
-        bitgen.state = {
+        state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed % 2**64, rep + i], dtype=np.uint64),
-            },
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+    key = state["state"]["key"]
+    key[0] = seed % 2**64
+    for i, row in enumerate(raw):
+        key[1] = rep + i
+        bitgen.state = state
         row[:] = bitgen.random_raw(n)
-    _IDLE_PHILOX.append(bitgen)
+    _IDLE_PHILOX.append((bitgen, state))
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     return normal_quantile(u if count is not None else u[0])
 

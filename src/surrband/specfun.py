@@ -17,11 +17,15 @@ Conventions
 
 The Gaussian quantiles are defined by bisection on the distribution
 function, so they stay accurate deep in the tails, and the scalar entry points
-are memoized (every function here is pure).  ``normal_quantile`` locates the
-bracket of the first 48 of its 64 bisection steps from ``scipy.special.ndtri``
-and checks it with the bisection's own predicate, which gives the bisection's
-result bit for bit at about a third of the cost (draw stream v1 of
-:mod:`surrband.simulate`).
+are memoized (every function here is pure); they take real numbers only, so a
+``bool`` or a ``str`` raises :class:`~surrband.errors.DomainError` instead of
+running as the number it converts to.  ``normal_quantile``, the map of draw
+stream v1 of :mod:`surrband.simulate`, returns the result of its 64 bisection
+steps bit for bit with about 8 ``ndtr`` evaluations per value instead of 64:
+the first 48 to 53 steps compute without rounding, so their bracket is a cell
+of an exact grid, which ``scipy.special.ndtri`` guesses and the bisection's
+own test confirms at both ends; the rest run as written but stop where the
+bracket has stopped moving.  Its docstring gives the argument.
 
 The chi-square layer is a validated call into ``scipy.special``: the central
 law through the regularized incomplete gamma function and its inverse, the
@@ -67,10 +71,27 @@ _Z_BRACKET_VEC = 9.5
 
 # The first 48 halvings of [-9.5, 9.5] are exact: every endpoint is a multiple
 # of 19 * 2^-48 with at most 52 significant bits, so after them the bracket is
-# [i * _CELL, (i + 1) * _CELL] for an integer i in [-2^47, 2^47).
+# a coarse cell [i * _CELL, (i + 1) * _CELL] for an integer i in [-2^47, 2^47).
 _EXACT_STEPS = 48
 _CELL = 2.0 * _Z_BRACKET_VEC * 2.0**-_EXACT_STEPS
-_HALF_CELLS = 2.0 ** (_EXACT_STEPS - 1)
+
+# Near a root z the exact steps go further.  With 2^e <= |z| + _CELL < 2^(e+1),
+# the first s = min(51 - e, 53) steps stay on multiples of 19 * 2^-s, which
+# have at most 52 significant bits below 2^(e+1).  That fine cell spans 38
+# ulps of binade e (more for e < -2), and 64 - s = max(13 + e, 11) steps
+# are left after it.
+_TAIL_STEPS = 13
+_TAIL_STEPS_MIN = 11
+
+# A bracket of at least 38 ulps still has a double strictly inside after four
+# halvings, so none of its first five midpoints is one of its ends, and a
+# check for a stopped bracket before the sixth would find none.
+_FREE_STEPS = 5
+
+# Stopped values are taken out of the working set once at least this many
+# have stopped, which costs about as much as evaluating ndtr on as many values;
+# until then a step leaves them as they are.
+_COMPACT = 128
 
 
 def _require(cond: bool, message: str) -> None:
@@ -78,8 +99,21 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+def _number(name: str, value) -> float:
+    """``value`` as a float; only real numbers pass, and a ``bool`` is not one
+    here (``float(True)`` would silently give 1.0, ``float("0.1")`` 0.1)."""
+    if type(value) is float:  # the common case, without the slower checks below
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the double range
+        raise DomainError(f"{name} is beyond the double range") from None
+
+
+def _check_finite(name: str, value) -> float:
+    value = _number(name, value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -87,7 +121,7 @@ def _check_finite(name: str, value: float) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function ``P(Z <= x)``."""
-    return float(special.ndtr(float(x)))
+    return float(special.ndtr(_number("x", x)))
 
 
 def normal_quantile(u):
@@ -101,27 +135,44 @@ def normal_quantile(u):
     fully deterministic — the property the Monte Carlo driver relies on for
     reproducibility.
 
-    The first 48 steps are not run one by one.  They compute without rounding,
-    so they end in the cell ``[i*c, (i+1)*c]``, ``c = 19 * 2^-48``, whose lower
-    end passes the bisection's test and whose upper end fails it.  The cell is
-    guessed from ``scipy.special.ndtri`` and both ends are tested; a wrong
-    guess moves one cell, and an element whose cell still fails the test (in
-    practice only inputs outside the range above) runs all 64 steps.  The last
-    16 steps then run as written.  This reproduces the plain bisection bit for
-    bit provided no reversal of ``scipy.special.ndtr`` spans a cell:
-    ``ndtr(a) <= ndtr(b)`` whenever ``b - a`` is at least ``c``.  ``ndtr`` is
-    not monotone in floating point (``ndtr(-1.2994616580219442)`` exceeds
-    ``ndtr`` of the next double up), but the reversals found span at most 4
-    ulps, and a cell spans at least 38 ulps on ``[-9.5, 9.5]``.  Under that
-    premise ``ndtr`` is nondecreasing on the cell ends, exactly one cell
-    passes the test, and the plain bisection, whose first 48 midpoints are
-    all cell ends, ends in it too.  ``tests/test_specfun.py`` pins the example
-    and scans for reversals over 16 ulps.
+    Most steps are not run one by one.  The first ``s`` compute without
+    rounding: every endpoint on the way is a multiple of ``19 * 2^-s`` with
+    at most 53 significant bits, so they end in the cell ``[i*c, (i+1)*c]``,
+    ``c = 19 * 2^-s``, whose lower end passes the bisection's test and whose
+    upper end fails it.  For a root ``z`` with ``2^e <= |z| + 19 * 2^-48 <
+    2^(e+1)`` that holds up to ``s = 51 - e`` (48 near ``|z| = 9.5``), and
+    ``s`` is capped at 53, where near ``u = 1/2`` the flat steps of ``ndtr``
+    already make the guess below miss often.  A cell then spans 38 ulps of
+    its binade, or more below ``|z| = 1/4``.  It is guessed from one
+    ``scipy.special.ndtri`` call and both ends are tested.  A wrong guess
+    moves one cell; if that fails too, the same guess locates the cell of the
+    first 48 steps and its neighbour, and an element with no passing cell (in
+    practice only inputs outside the range above) runs the plain bisection.
+
+    This reproduces the plain bisection bit for bit provided no reversal of
+    ``scipy.special.ndtr`` spans a cell: ``ndtr(a) <= ndtr(b)`` whenever
+    ``b - a`` is at least 38 ulps.  ``ndtr`` is not monotone in floating point
+    (``ndtr(-1.2994616580219442)`` exceeds ``ndtr`` of the next double up),
+    but the reversals found span at most a few ulps, and the cells of the
+    first 48 steps near ``|z| = 9.5`` are no wider than 38 ulps either, so
+    the premise is the one the 48-step cells always needed.  Under it
+    ``ndtr`` is nondecreasing on the cell ends, exactly one cell passes the
+    test, and the plain bisection, whose first ``s`` midpoints are all cell
+    ends, ends in it too.  ``tests/test_specfun.py`` pins the example and
+    scans every binade the cells use for reversals over 16 ulps.
+
+    The ``64 - s`` steps left run as written, except that an element stops
+    as soon as its midpoint equals an end of its bracket, which happens once
+    the ends are adjacent doubles.  Both ends have been tested (the lower
+    passes, the upper fails), so the step at that midpoint would leave the
+    bracket unchanged, and a step depends only on the bracket and ``u``, so
+    every later step would too: the midpoint is the result.  An element
+    still moving stops after exactly ``64 - s`` steps.  About six steps per
+    value remain, and about 8 ``ndtr`` evaluations per value in all.
     """
     u = np.asarray(u, dtype=np.float64)
-    lo, hi = _first_steps(u.reshape(-1))
-    lo, hi = _bisect(u, lo.reshape(u.shape), hi.reshape(u.shape), 64 - _EXACT_STEPS)
-    return 0.5 * (lo + hi)
+    flat = u.reshape(-1)
+    return _finish(flat, *_cells(flat)).reshape(u.shape)[()]
 
 
 def _bisect(u, lo, hi, steps):
@@ -133,29 +184,117 @@ def _bisect(u, lo, hi, steps):
     return lo, hi
 
 
-def _first_steps(u):
-    """The bracket of the first ``_EXACT_STEPS`` bisection steps on a 1-d ``u``."""
+def _test(u, lo, hi):
+    """Whether the bisection's test ``ndtr(x) < u`` passes at ``lo`` and fails
+    at ``hi``, and whether it passes at ``lo``."""
+    low = special.ndtr(lo) < u
+    return low & ~(special.ndtr(hi) < u), low
+
+
+def _locate(u, z, cell):
+    """The bisection's bracket ``[lo, hi]`` when its ends are multiples of
+    ``cell``: the one that holds ``z``, or its neighbour towards the root where
+    the test fails; and whether the test passes on it."""
+    lo = np.floor(z / cell) * cell
+    hi = lo + cell
+    ok, low = _test(u, lo, hi)
+    off = (~ok).nonzero()[0]
+    if off.size:
+        step = cell[off] if np.ndim(cell) else cell
+        # Up where the lower end passed (so the upper end passed too), else
+        # down, but never below the bracket.
+        lo[off] = np.where(low[off], hi[off], np.maximum(lo[off] - step, -_Z_BRACKET_VEC))
+        hi[off] = lo[off] + step
+        ok[off] = _test(u[off], lo[off], hi[off])[0]
+    return lo, hi, ok
+
+
+def _cells(u):
+    """The bracket of each 1-d ``u`` after the exact bisection steps, and the
+    number of steps left."""
     # Above 1/2, ndtr rounds to the 2^-53 grid below 1, so ndtr(x) < u turns
     # false where the upper tail falls to (1 - u) + 2^-54, not to 1 - u.
-    upper = u > 0.5
-    z = special.ndtri(np.where(upper, (1.0 - u) + 2.0**-54, u))
-    cell = np.clip(np.floor(np.where(upper, -z, z) / _CELL), -_HALF_CELLS, _HALF_CELLS - 1.0)
-    lo, hi = cell * _CELL, (cell + 1.0) * _CELL
-    low_ok = special.ndtr(lo) < u
-    off = np.flatnonzero(~(low_ok & ~(special.ndtr(hi) < u)))
-    if off.size:
-        # Up one cell where the lower end passed (so the upper end failed), else down.
-        cell = np.clip(cell[off] + np.where(low_ok[off], 1.0, -1.0), -_HALF_CELLS, _HALF_CELLS - 1.0)
-        lo[off], hi[off] = cell * _CELL, (cell + 1.0) * _CELL
-        uo = u[off]
-        still = off[~((special.ndtr(lo[off]) < uo) & ~(special.ndtr(hi[off]) < uo))]
-        if still.size:
-            full = np.full(still.size, _Z_BRACKET_VEC)
-            lo[still], hi[still] = _bisect(u[still], -full, full, _EXACT_STEPS)
-    return lo, hi
+    z = np.maximum(special.ndtri(np.minimum(u, (1.0 - u) + 2.0**-54)), -_Z_BRACKET_VEC)
+    bits = z.view(np.int64)
+    bits ^= (u > 0.5).astype(np.int64) << 63  # z = -z above 1/2
+    width = np.abs(z)
+    width += _CELL
+    steps = width.view(np.int64) >> 52  # e + 1023
+    steps -= 1023 - _TAIL_STEPS
+    np.maximum(steps, _TAIL_STEPS_MIN, out=steps)
+    cell = ((steps + (1023 - 64)) << 52).view(np.float64)  # 2^-s
+    cell *= 19.0
+    lo, hi, ok = _locate(u, z, cell)
+    miss = (~ok).nonzero()[0]
+    if miss.size:
+        um = u[miss]
+        lo[miss], hi[miss], ok = _locate(um, z[miss], _CELL)
+        steps[miss] = 64 - _EXACT_STEPS
+        full = miss[~ok]
+        if full.size:
+            # The plain bisection, finished here: the early stop of _finish
+            # needs tested ends, and these may still be +-9.5.  A bracket
+            # [r, r] is left as it is by every step.
+            uf = u[full]
+            edge = np.full(full.size, _Z_BRACKET_VEC)
+            lo[full], hi[full] = _bisect(uf, *_bisect(uf, -edge, edge, _EXACT_STEPS), 64 - _EXACT_STEPS)
+            lo[full] = hi[full] = 0.5 * (lo[full] + hi[full])
+    return lo, hi, steps
 
 
-@lru_cache(maxsize=None)
+def _midpoint(lo, hi):
+    """``0.5 * (lo + hi)`` of two arrays of bits, as bits."""
+    mid = lo.view(np.float64) + hi.view(np.float64)
+    mid *= 0.5
+    return mid.view(np.int64)
+
+
+def _finish(u, lo, hi, steps):
+    """The midpoints of the brackets ``[lo, hi]`` after ``steps`` more
+    bisection steps each, or fewer where a midpoint equals an end (a step
+    there, as every later one, would leave the bracket as it is)."""
+    # The ends and midpoints as bits.  A step moves lo to mid where
+    # ndtr(mid) < u and hi to mid elsewhere: xor-ing in the differences under
+    # a mask costs the same for any pattern of outcomes, which np.where does
+    # not.
+    lo, hi = lo.view(np.int64), hi.view(np.int64)
+    mid = _midpoint(lo, hi)
+    out = np.empty_like(u)
+    live = np.arange(u.size)
+    for step in range(int(steps.max(initial=0))):
+        lo_to_mid, mid_to_hi = lo ^ mid, mid ^ hi  # zero where mid is that end
+        if step >= _FREE_STEPS:
+            moving = np.logical_and(lo_to_mid, mid_to_hi)
+            if step >= _TAIL_STEPS_MIN:
+                moving &= steps > step
+            left = np.count_nonzero(moving)
+            if not left:
+                break
+            if live.size - left >= _COMPACT:
+                out[live] = mid.view(np.float64)
+                keep = moving.nonzero()[0]
+                live, u, lo, hi, mid, steps, lo_to_mid, mid_to_hi = (
+                    a[keep] for a in (live, u, lo, hi, mid, steps, lo_to_mid, mid_to_hi)
+                )
+            elif step >= _TAIL_STEPS_MIN:
+                lo_to_mid *= moving  # out of steps: no more moves
+                mid_to_hi *= moving
+        # All ones where ndtr(mid) - u is negative, that is where the test
+        # passes, else zero (u is finite wherever this can move a bracket).
+        below = special.ndtr(mid.view(np.float64))
+        below -= u
+        below = below.view(np.int64)
+        below >>= 63
+        lo_to_mid &= below
+        mid_to_hi &= below
+        lo ^= lo_to_mid
+        hi = mid ^ mid_to_hi
+        mid = _midpoint(lo, hi)
+    out[live] = mid.view(np.float64)
+    return out
+
+
+@lru_cache(maxsize=None, typed=True)
 def z_upper(p: float) -> float:
     """Upper-tail standard normal quantile: the ``z`` with ``P(Z > z) = p``.
 
@@ -241,7 +380,7 @@ def chi2_cdf(x: float, df: float, ncp: float = 0.0) -> float:
     return _library_value(special.chndtr(x, df, ncp), "chi2_cdf", x, df, ncp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chi2_quantile(u: float, df: float, ncp: float = 0.0) -> float:
     """Quantile of the (non)central chi-square distribution.
 
@@ -282,7 +421,7 @@ def kappa(alpha: float, gamma: float) -> float:
 _QCONST_RTOL = 1e-9
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qconst(m: int, beta: float, xi: float) -> float:
     """Scaled mean separation at which a level-``xi`` chi-square test on ``m``
     degrees of freedom retains rejection probability ``1 - beta``.
@@ -298,8 +437,11 @@ def qconst(m: int, beta: float, xi: float) -> float:
     raised if it is not finite or misses ``beta`` by more than 1e-9 relative.
     Requires ``0 < beta < 1 - xi < 1``.
     """
+    _require(
+        isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1,
+        f"m must be a positive integer, got {m!r}",
+    )
     m = int(m)
-    _require(m >= 1, f"m must be a positive integer, got {m!r}")
     beta = _check_finite("beta", beta)
     xi = _check_finite("xi", xi)
     _require(0.0 < xi < 1.0, f"xi must lie in (0, 1), got {xi!r}")

@@ -6,7 +6,10 @@ regularized incomplete-gamma routine (power series + Lentz continued
 fraction), and against scipy.stats.  Quantiles are also checked by
 round-tripping through the CDF and against frozen reference values.
 ``normal_quantile`` is also checked bit for bit against an inline copy of the
-plain 64-step bisection that defines draw stream v1.
+plain 64-step bisection that defines draw stream v1, on the generator's stream
+and on the binade edges of its exact cells, and the premise of its shortcut
+(no reversal of ``ndtr`` spans a cell) is scanned for in every binade the
+cells use.  Every entry point rejects a bool or a str.
 """
 
 import math
@@ -185,6 +188,35 @@ class TestNormalQuantileMatchesBisection:
             total += u.size
         assert total >= 10**6
 
+    def test_binade_edges_of_the_cells(self):
+        # The fine cells change width where |z| crosses a power of two: the
+        # 6001 doubles around ndtr(+-2^k) for k = -30..3, on both sides.
+        offsets = np.arange(-3000, 3001)
+        for k in range(-30, 4):
+            for z in (2.0**k, -(2.0**k)):
+                center = np.float64(special.ndtr(z)).view(np.int64)
+                u = (center + offsets).view(np.float64)
+                assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+
+    def test_at_most_10_ndtr_evaluations_per_value(self, monkeypatch):
+        # The plain bisection makes 64 and the cells of the first 48 steps
+        # left 18 on this stream; the fine cells and the early stop leave
+        # about 8.
+        real = specfun.special.ndtr
+        seen = []
+
+        def counting(x):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(specfun.special, "ndtr", counting)
+        values = 0
+        for rep in range(16):
+            u = philox_uniforms((20261018, rep), 4096)
+            normal_quantile(u)
+            values += u.size
+        assert sum(seen) <= 10 * values
+
     def test_edge_grids(self):
         k = np.arange(2**12, dtype=np.float64)
         grids = [
@@ -278,12 +310,40 @@ class TestNdtrReversals:
     def test_cell_spans_at_least_38_ulps(self):
         assert specfun._CELL >= 38 * np.spacing(specfun._Z_BRACKET_VEC)
 
+    def test_fine_cells_span_at_least_38_ulps(self):
+        # A root in binade e (2^e <= |z| + 19 * 2^-48 < 2^(e+1)) gets the
+        # cell of s = min(51 - e, 53) exact steps, 64 - s steps after it, and
+        # a lower end that passes the test and an upper end that fails it.
+        z = np.array([2.0**e * 1.125 for e in range(-44, 3)] + [8.1])
+        u = special.ndtr(np.concatenate([z, -z]))
+        lo, hi, steps = specfun._cells(u)
+        e = np.frexp(np.abs(bisection_quantile(u)) + specfun._CELL)[1] - 1
+        assert set(range(-10, 4)) <= set(e)
+        s = np.minimum(51 - e, 53)
+        assert np.all(hi - lo == 19.0 * 2.0**-s)
+        assert np.all(hi - lo >= 38 * np.spacing(2.0**e))
+        assert np.all(steps == 64 - s)
+        assert np.all(special.ndtr(lo) < u) and not np.any(special.ndtr(hi) < u)
+        # Every multiple of the cell below 2^(e+1) has at most 52 significant
+        # bits, so the steps up to it were exact.
+        assert np.all(2.0 ** (e + 1) / (hi - lo) * 19.0 <= 2.0**52)
+
     def test_no_reversal_over_16_ulps(self):
         rng = np.random.default_rng(20261018)
         longest = max(
             _longest_reversal(rng.uniform(-9.5, 9.5, size=25_000), 24) for _ in range(8)
         )
         # Short reversals are there to be found; long ones are not.
+        assert 1 <= longest < 16
+
+    def test_no_reversal_over_16_ulps_in_any_fine_binade(self):
+        # The fine cells are 38 ulps wide from |z| = 1/4 to 9.5 (wider below):
+        # scan log-uniform |x| over that range, both signs.
+        rng = np.random.default_rng(20261019)
+        longest = 0
+        for _ in range(8):
+            x = np.exp(rng.uniform(np.log(2.0**-3), np.log(9.5), size=25_000))
+            longest = max(longest, _longest_reversal(x * rng.choice([-1.0, 1.0], size=x.size), 24))
         assert 1 <= longest < 16
 
 
@@ -566,6 +626,55 @@ class TestQConst:
             qconst(10, 0.97, 0.05)  # beta >= 1 - xi
         with pytest.raises(DomainError):
             qconst(10, 0.05, 0.0)
+
+
+class TestEntryPointsTakeRealNumbersOnly:
+    """A bool, a str or a fractional count would otherwise run silently on a
+    coerced value (``float(True)``, ``float("0.1")``, ``int(2.5)``)."""
+
+    @pytest.mark.parametrize("func, args", [
+        (normal_cdf, ("1.5",)),
+        (normal_cdf, (True,)),
+        (z_upper, ("0.1",)),
+        (z_upper, (True,)),
+        (tau, (True,)),
+        (tau, ("1.0",)),
+        (tau_inv, ("0.5",)),
+        (chi2_cdf, ("3", True)),
+        (chi2_cdf, (3.0, 2.0, "1")),
+        (chi2_quantile, ("0.5", 2.0)),
+        (chi2_quantile, (0.5, np.bool_(True))),
+        (kappa, ("0.1", "0.1")),
+        (qconst, (2.5, 0.05, 0.1)),
+        (qconst, (True, 0.05, 0.1)),
+        (qconst, ("4", 0.05, 0.1)),
+        (econst, (2.5, 0.05, 0.1)),
+        (birge_bounds, (1.0, True, 0.5)),
+        (tau, (10**400,)),  # float() would raise OverflowError
+    ])
+    def test_rejected(self, func, args):
+        with pytest.raises(DomainError):
+            func(*args)
+
+    def test_a_cached_equal_value_does_not_let_a_bool_through(self):
+        # True == 1 and hashes alike, so an untyped cache would answer
+        # qconst(True, ...) from qconst(1, ...) without checking it.
+        qconst(1, 0.05, 0.1)
+        chi2_quantile(0.5, 1.0)
+        with pytest.raises(DomainError):
+            qconst(True, 0.05, 0.1)
+        with pytest.raises(DomainError):
+            chi2_quantile(0.5, True)
+        before = z_upper.cache_info().currsize
+        with pytest.raises(DomainError):
+            z_upper("0.2")
+        assert z_upper.cache_info().currsize == before
+
+    def test_numpy_numbers_accepted(self):
+        assert z_upper(np.float64(0.05)) == z_upper(0.05)
+        assert normal_cdf(np.float32(0.0)) == 0.5
+        assert chi2_cdf(np.int64(3), 2) == chi2_cdf(3.0, 2.0)
+        assert qconst(np.int64(4), 0.05, 0.1) == qconst(4, 0.05, 0.1)
 
 
 class TestEConst:

@@ -4,9 +4,11 @@
 found in each owner's ``__dict__``, when a traced run starts; a name that the
 package no longer has there breaks that run only then, outside this suite,
 and a name that the package stops calling through silently reads 0.  These
-tests catch both here.
+tests catch both here, and a drift of the draw from the fingerprint
+``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -65,3 +67,25 @@ def test_run_draws_one_block_per_call(monkeypatch):
     calls.clear()
     simulate.run(s, threads=2)  # two chunks of rows + 2 and rows + 3
     assert sorted(calls) == [2, 3, rows, rows]
+
+
+RUN = TRACING.parent / "run.py"
+
+
+def _benchmark_fingerprint():
+    """``V1_DRAW`` as ``perfbench/run.py`` defines it, read from its syntax
+    tree: importing that file would set the BLAS thread variables of this
+    process."""
+    for node in ast.parse(RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["V1_DRAW"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no V1_DRAW in {RUN}")
+
+
+def test_draw_matches_the_benchmark_fingerprint():
+    # The benchmark reports draw stream v1 only while gaussian_draw(0, 0, 4)
+    # gives these values; a drift would show up there as "not-v1".
+    want = np.array(_benchmark_fingerprint(), dtype=np.float64)
+    got = simulate.gaussian_draw(0, 0, 4)
+    assert want.shape == (4,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
