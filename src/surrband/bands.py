@@ -19,7 +19,11 @@ the feasible range.  A single subspace is the one-level scale
 The per-configuration constants of the adaptive band (feasibility floor,
 chi-square cutoffs, half-widths) are computed once per ``(scale, params)`` in
 a private plan that :func:`adaptive_band_nested` and the Monte Carlo driver
-share.
+share.  The band call tests its one vector at every level, for the ``tStats``
+it reports; a Monte Carlo run walks a block of replications at a time, each
+row only up to its first accepted level, with the same bits per row.  A
+one-row block costs the numpy call overhead of the 2-d arrays, so the band
+call keeps its own one-vector path.
 
 :func:`bonferroni_band` and :func:`subspace_band` are the two non-adaptive
 baselines.
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .specfun import _LibraryRangeError, _number, chi2_cdf, chi2_quantile, z_upper
+from .specfun import _LibraryRangeError, _is_int, _number, chi2_cdf, chi2_quantile, z_upper
 from .subspace import NestedScale, Subspace, _as_vector
 from .surrogate import SurrogateTuning
 
@@ -161,9 +165,12 @@ def t_statistic(space: Subspace, y, sigma: float) -> float:
 def acceptance_threshold(n: int, d: int, gamma: float) -> float:
     """Residual-test cutoff: the ``1 - gamma`` chi-square quantile on ``n - d``
     degrees of freedom (``+inf`` when ``d == n``: nothing to test)."""
+    if not (_is_int(n) and _is_int(d)):
+        raise DomainError(f"n and d must be integers, got n={n!r}, d={d!r}")
+    gamma = _number("gamma", gamma)
     if d == n:
         return math.inf
-    return chi2_quantile(1.0 - float(gamma), n - d)
+    return chi2_quantile(1.0 - gamma, n - d)
 
 
 def _half_width_accepted(space: Subspace, budget: float, sigma: float, eps_inf: float) -> float:
@@ -176,6 +183,17 @@ def _bonferroni_half_width(n: int, alpha: float, sigma: float) -> float:
     return sigma * z_upper(alpha / (2.0 * n))
 
 
+def _subspace_half_width(space: Subspace, alpha: float, sigma: float, per_coordinate: bool):
+    """``(half, width)`` of :func:`subspace_band`: the half-width, a float or
+    with ``per_coordinate`` the vector over the grid, and the band's width."""
+    z = z_upper(alpha / (2.0 * space.n))
+    if per_coordinate:
+        half = sigma * space.leverage_profile() * z
+        return half, 2.0 * float(np.max(half))
+    half = sigma * space.omega * z
+    return half, 2.0 * half
+
+
 def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> float:
     """Feasibility floor of one level: the central chi-square (``n - d`` degrees
     of freedom) tail above the ``prob`` quantile of the noncentral one with
@@ -186,12 +204,13 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     :func:`_quantile_lower_bound`.  A lower cutoff can only raise the floor,
     so feasibility stays conservative.
     """
-    if not (isinstance(n, int) and isinstance(d, int)):
-        raise DomainError("n and d must be integers")
+    if not (_is_int(n) and _is_int(d)):
+        raise DomainError(f"n and d must be integers, got n={n!r}, d={d!r}")
     if not 0 <= d < n:
         raise DomainError(f"need 0 <= d < n; got d={d}, n={n}")
-    eps2 = float(eps2)
-    sigma = float(sigma)
+    eps2 = _number("eps2", eps2)
+    sigma = _number("sigma", sigma)
+    prob = _number("probability budget", prob)
     if not (math.isfinite(eps2) and eps2 >= 0.0):
         raise DomainError(f"eps2 must be nonnegative, got {eps2!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -252,19 +271,34 @@ def level_widths(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
     return tuple(widths)
 
 
+def _sum_of_squares_cutoff(cutoff: float, scale: float) -> float:
+    """The largest double ``s`` whose quotient ``s / scale`` is at most
+    ``cutoff``: rounding a division is monotone, so ``s <= result`` exactly
+    when ``s / scale <= cutoff``, and a residual test needs no division."""
+    if math.isinf(cutoff):
+        return cutoff
+    s = cutoff * scale
+    while s / scale > cutoff:
+        s = math.nextafter(s, -math.inf)
+    while math.nextafter(s, math.inf) / scale <= cutoff:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 class _Plan:
     """The data-independent part of the adaptive band for one configuration.
 
     Holds each level's projection, chi-square cutoff and half-width, and the
     fallback half-width, so that a band costs only its residual tests.
+    :meth:`scan` tests one vector at every level, for the band call;
+    :meth:`walk` tests a block of replications, each row up to its first
+    accepted level, for the Monte Carlo run.  Both give the same bits.
     """
 
     def __init__(self, scale: NestedScale, params: BandParams):
         n = scale.n
         self.sigma = params.sigma
-        # The routine behind Subspace.project, without its input checks, so
-        # the walk and t_statistic agree bit for bit.
-        self.projections = tuple(space._project for space in scale.levels)
+        self.levels = scale.levels
         self.cutoffs = tuple(
             acceptance_threshold(n, space.d, params.gamma) for space in scale.levels
         )
@@ -272,28 +306,69 @@ class _Plan:
             _half_width_accepted(space, params.alpha_split[j], params.sigma, params.tuning.eps_inf[j])
             for j, space in enumerate(scale.levels)
         ) + (_bonferroni_half_width(n, params.alpha_split[scale.m], params.sigma),)
+        # Entry j is the half-width of the 1-based level j, entry 0 unused:
+        # the block walk looks its rows up by level in one call.
+        self._halves = np.array((math.nan,) + self.halves)
+        # The block walk's cutoffs on the residual sums of squares themselves.
+        self._ss_cutoffs = tuple(
+            _sum_of_squares_cutoff(c, self.sigma * self.sigma) for c in self.cutoffs
+        )
 
-    def walk(self, y: np.ndarray, every_level: bool = False):
-        """Residual tests of ``y`` from the coarsest level.
+    def scan(self, y: np.ndarray):
+        """Residual tests of the vector ``y`` at every level.
 
-        Returns ``(t_stats, selected, center, half)``: the statistics computed,
-        the 1-based accepted level (``m + 1`` for the fallback), the band
-        centre (the accepted level's projection, else ``y`` itself, not a
-        copy) and its half-width.  Stops at the first accepted level unless
-        ``every_level``.
+        Returns ``(t_stats, selected, center, half)``: the statistic of each
+        level, the 1-based first accepted level (``m + 1`` for the fallback),
+        the band centre (that level's projection, else ``y`` itself, not a
+        copy) and its half-width.  The projections are the routine behind
+        :meth:`Subspace.project` without its input checks, so the statistics
+        equal :func:`t_statistic` bit for bit.
         """
         t_stats = []
-        selected, center = len(self.projections) + 1, y
-        for j, (project, cutoff) in enumerate(zip(self.projections, self.cutoffs), start=1):
-            proj = project(y)
+        selected, center = len(self.levels) + 1, y
+        for j, (space, cutoff) in enumerate(zip(self.levels, self.cutoffs), start=1):
+            proj = space._project(y)
             resid = y - proj
             t = float(resid @ resid) / (self.sigma * self.sigma)
             t_stats.append(t)
             if t <= cutoff and center is y:
                 selected, center = j, proj
-                if not every_level:
-                    break
         return t_stats, selected, center, self.halves[selected - 1]
+
+    def walk(self, Y: np.ndarray):
+        """Residual tests of each row of the ``(k, n)`` block ``Y``.
+
+        Each level projects only the rows that no coarser level accepted, and
+        a row stops at its first accepted level.  Returns ``(selected, center,
+        half)``: per row the 1-based accepted level (``m + 1`` for the
+        fallback), the band centre (``Y`` itself, not a copy, where no row was
+        accepted) and the half-width.  Row ``i`` gives what :meth:`scan` gives
+        for ``Y[i]``, bit for bit.
+        """
+        selected = np.full(Y.shape[0], len(self.levels) + 1)
+        center, live, rows = Y, None, Y  # live: indices of the rows in rows, None for all
+        for j, (space, cutoff) in enumerate(zip(self.levels, self._ss_cutoffs), start=1):
+            proj = space._project_rows(rows)
+            resid = rows - proj
+            # vecdot runs the ddot of resid @ resid on each row, so the sums
+            # of squares are scan's bit for bit (einsum and (R * R).sum(1)
+            # add in other orders).
+            accept = np.vecdot(resid, resid) <= cutoff
+            hits = np.count_nonzero(accept)
+            if hits == 0:
+                continue
+            if live is None and hits == len(rows):
+                selected[:], center = j, proj
+                break
+            if center is Y:
+                center = Y.copy()
+            done = np.flatnonzero(accept) if live is None else live[accept]
+            selected[done], center[done] = j, proj[accept]
+            if hits == len(rows):
+                break
+            live = np.flatnonzero(~accept) if live is None else live[~accept]
+            rows = rows[~accept]
+        return selected, center, self._halves[selected]
 
 
 # The plan of each live scale and the params it was built for.  A plan holds
@@ -333,7 +408,7 @@ def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
         raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
     y = _as_vector(y, scale.n)
     plan = _plan(scale, params)
-    t_stats, selected, center, half = plan.walk(y, every_level=True)
+    t_stats, selected, center, half = plan.scan(y)
     if center is y:
         center = y.copy()
     return Band(
@@ -394,13 +469,7 @@ def subspace_band(
     if not isinstance(per_coordinate, bool):
         raise DomainError(f"per_coordinate must be a bool, got {per_coordinate!r}")
     center = space.project(y)
-    z = z_upper(alpha / (2.0 * space.n))
-    if per_coordinate:
-        half = sigma * space.leverage_profile() * z
-        width = 2.0 * float(np.max(half))
-    else:
-        half = sigma * space.omega * z
-        width = 2.0 * half
+    half, width = _subspace_half_width(space, alpha, sigma, per_coordinate)
     return Band(
         lower=center - half,
         upper=center + half,

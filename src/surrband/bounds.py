@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import kappa, tau_inv
+from .specfun import _number, kappa, tau_inv
 from .subspace import Subspace
 
 __all__ = [
@@ -31,14 +31,14 @@ __all__ = [
 
 
 def _check_pos(name: str, value: float) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def _check_nonneg(name: str, value: float) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
     return value
@@ -204,7 +204,7 @@ def besov_rate(n: int, p: float, xi: float) -> float:
     """
     n = _check_count("n", n)
     p = _check_pos("p", p)
-    xi = float(xi)
+    xi = _number("xi", xi)
     if not math.isfinite(xi):
         raise DomainError(f"xi must be finite, got {xi!r}")
     denom = 1.0 / p - xi - 0.5

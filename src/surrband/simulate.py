@@ -12,13 +12,15 @@ draw stream v1: the same seed gives the same noise as ever.  Each
 replication's Philox generator is a kept object reset to a kept state with
 only the replication index rewritten.
 
-The noise of a block of replications is drawn in one call, and a Bonferroni
-run checks the coverage of a whole block in one comparison; the rows are the
-same bits as single draws and single band calls.  An adaptive replication
-uses the private band plan of :mod:`surrband.bands`: its constants are
-computed once per run, the walk over the levels stops at the first accepted
-one, and all surrogate candidates are checked against the band in one
-comparison.
+The noise of a block of replications is drawn in one call, and every kind
+of run takes one band step per block: the Bonferroni band around the block,
+the projection of the block for a subspace run, or the block walk of the
+private band plan of :mod:`surrband.bands` for an adaptive run (its constants
+are computed once per run, each row projects only up to its first accepted
+level).  The truth, and for adaptive runs all surrogate candidates, are then
+checked against the bands of the whole block in one comparison.  There is no
+per-replication Python loop, and each row has the same bits as a single draw
+and a single band call.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -36,19 +38,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # adaptive_band_nested and min_feasible_gamma are what the band plan does per
-# replication and once per run, and bonferroni_band what a Bonferroni block
-# does per row; they stay importable from this module.
+# replication and once per run, and bonferroni_band and subspace_band what a
+# Bonferroni or subspace block does per row; they stay importable from this
+# module.
 from .bands import (  # noqa: F401
     BandParams,
     _bonferroni_half_width,
     _plan,
+    _subspace_half_width,
     adaptive_band_nested,
     bonferroni_band,
     min_feasible_gamma,
     subspace_band,
 )
 from .errors import DomainError
-from .specfun import _number, normal_quantile
+from .specfun import _is_int, _number, normal_quantile
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 from .surrogate import surrogate_set
 
@@ -59,11 +63,6 @@ __all__ = [
     "gaussian_draw",
     "make_spoiler",
 ]
-
-
-def _is_int(value) -> bool:
-    """An ``int`` that is not a ``bool`` (``True`` would pass ``isinstance(_, int)``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # The fields each kind reads besides kind, truth, reps and seed.
@@ -270,7 +269,8 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
     Each worker draws its noise one block of replications at a time (see
-    ``_BLOCK_VALUES``).  ``threads > 1`` splits replications into contiguous
+    ``_BLOCK_VALUES``) and takes one band step and one coverage comparison
+    per block.  ``threads > 1`` splits replications into contiguous
     chunks executed in a thread pool of at most ``os.cpu_count()`` workers;
     results are byte-identical to the serial run.  Adaptive scenarios are
     checked for feasibility once up front (raising
@@ -290,14 +290,19 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     seed = scenario.seed
     rows = max(1, _BLOCK_VALUES // n)
 
-    plan = None
+    plan = space = None
     if scenario.kind == "adaptive":
         plan = _plan(scenario.scale, scenario.params)
-        candidates = np.stack(
-            [c.values for c in surrogate_set(scenario.scale, f, scenario.params.tuning)]
-        )
+        candidates = surrogate_set(scenario.scale, f, scenario.params.tuning)
+        # The candidate tagged "identity" equals f, so its coverage is the truth's.
+        truth = next(i for i, c in enumerate(candidates) if "identity" in c.tags)
+        candidates = np.stack([c.values for c in candidates])
     elif scenario.kind == "bonferroni":
-        bonferroni_half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
+        half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
+        width = 2.0 * half
+    else:
+        space = scenario.space
+        half, width = _subspace_half_width(space, scenario.alpha, scenario.sigma, scenario.per_coordinate)
 
     widths = np.empty(reps, dtype=np.float64)
     cover_true = np.zeros(reps, dtype=bool)
@@ -309,26 +314,21 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             block = f + sigma * gaussian_draw(seed, start, n, stop - start)
-            if scenario.kind == "bonferroni":
-                # bonferroni_band's arithmetic, for the whole block at once.
-                lower, upper = block - bonferroni_half, block + bonferroni_half
-                widths[start:stop] = 2.0 * bonferroni_half
+            if plan is not None:
+                levels[start:stop], center, halves = plan.walk(block)
+                widths[start:stop] = 2.0 * halves
+                # Rows against every candidate in one (k, c, n) comparison.
+                center, halves = center[:, None], halves[:, None, None]
+                lower, upper = center - halves, center + halves
+                covered = ((lower <= candidates) & (candidates <= upper)).all(axis=2)
+                cover_surr[start:stop] = covered.any(axis=1)
+                cover_true[start:stop] = covered[:, truth]
+            else:
+                # bonferroni_band's and subspace_band's arithmetic, row by row.
+                center = block if space is None else space._project_rows(block)
+                lower, upper = center - half, center + half
+                widths[start:stop] = width
                 cover_true[start:stop] = np.all((lower <= f) & (f <= upper), axis=1)
-                continue
-            for rep, y in enumerate(block, start):
-                if plan is None:
-                    band = subspace_band(
-                        scenario.space, y, scenario.alpha, scenario.sigma,
-                        per_coordinate=scenario.per_coordinate,
-                    )
-                    lower, upper, widths[rep] = band.lower, band.upper, band.width
-                else:
-                    _, level, center, half = plan.walk(y)
-                    levels[rep] = level
-                    lower, upper, widths[rep] = center - half, center + half, 2.0 * half
-                    inside = (lower <= candidates) & (candidates <= upper)
-                    cover_surr[rep] = inside.all(axis=1).any()
-                cover_true[rep] = np.all((lower <= f) & (f <= upper))
 
     workers = _worker_count(threads, reps)
     if workers == 1:

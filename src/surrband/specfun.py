@@ -112,6 +112,11 @@ def _number(name: str, value) -> float:
         raise DomainError(f"{name} is beyond the double range") from None
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` would pass ``isinstance(_, int)``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_finite(name: str, value) -> float:
     value = _number(name, value)
     if not math.isfinite(value):

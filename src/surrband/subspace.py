@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
+from .specfun import _is_int, _number
 
 __all__ = [
     "DesignGrid",
@@ -87,7 +88,7 @@ class DesignGrid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or int(self.n) < 1:
+        if not (_is_int(self.n) or isinstance(self.n, np.integer)) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -149,6 +150,15 @@ class Subspace:
         plan calls it directly, so both give the same bits."""
         return (self._rows @ y / self.n) @ self._rows
 
+    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """:meth:`_project` of each row of a ``(k, n)`` float block.
+
+        Row by row: the rows of ``Y @ B.T`` are not bitwise ``B @ y``."""
+        out = np.empty_like(Y)
+        for i, y in enumerate(Y):
+            out[i] = self._project(y)
+        return out
+
     def leverage_profile(self) -> np.ndarray:
         """Per-coordinate leverage ``sqrt(sum_j basis[j,i]^2 / n)``.
 
@@ -200,6 +210,12 @@ class _Blocks(Subspace):
 
     def _project(self, y: np.ndarray) -> np.ndarray:
         return np.repeat(np.add.reduceat(y, self._starts) / self._sizes, self._sizes)
+
+    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
+        # Each row is _project of that row, bit for bit.
+        return np.repeat(
+            np.add.reduceat(Y, self._starts, axis=1) / self._sizes, self._sizes, axis=1
+        )
 
     def leverage_profile(self) -> np.ndarray:
         return np.repeat(np.sqrt(self._heights * self._heights / self.n), self._sizes)
@@ -254,7 +270,7 @@ def dyadic_blocks(n: int, d: int) -> Subspace:
     ``basis`` builds the dense ``(d, n)`` matrix each time it is read.
     """
     grid = DesignGrid(n)
-    if not isinstance(d, (int, np.integer)):
+    if not (_is_int(d) or isinstance(d, np.integer)):
         raise DomainError(f"d must be an integer, got {d!r}")
     d = int(d)
     if not 1 <= d <= grid.n:
@@ -284,7 +300,7 @@ def function_basis(n: int, fns: Sequence[Callable[[np.ndarray], np.ndarray]]) ->
 
 def cosine_basis(n: int, d: int) -> Subspace:
     """Low-frequency cosine subspace: ``1, sqrt(2)cos(k pi x)`` for ``k < d``."""
-    if not isinstance(d, (int, np.integer)) or int(d) < 1:
+    if not (_is_int(d) or isinstance(d, np.integer)) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
 
     def make(k: int):
@@ -355,7 +371,7 @@ def min_two_norm_given_inf(space: Subspace, eps_inf: float) -> float:
     Equals ``eps_inf / (sqrt(n) * omega)``; the minimizer is the member whose
     coordinate profile peaks at the maximum-leverage grid point.
     """
-    eps_inf = float(eps_inf)
+    eps_inf = _number("eps_inf", eps_inf)
     if not (math.isfinite(eps_inf) and eps_inf >= 0.0):
         raise DomainError(f"eps_inf must be nonnegative and finite, got {eps_inf!r}")
     return eps_inf / (math.sqrt(space.n) * space.omega)
@@ -367,7 +383,7 @@ def max_inf_norm_given_two(space: Subspace, eps2: float) -> float:
     Equals ``eps2 * sqrt(n) * omega`` — the companion extremal identity to
     :func:`min_two_norm_given_inf`.
     """
-    eps2 = float(eps2)
+    eps2 = _number("eps2", eps2)
     if not (math.isfinite(eps2) and eps2 >= 0.0):
         raise DomainError(f"eps2 must be nonnegative and finite, got {eps2!r}")
     return eps2 * math.sqrt(space.n) * space.omega

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import v2_term, w_target
 from .errors import DomainError
-from .specfun import econst
+from .specfun import _number, econst
 from .subspace import NestedScale, Subspace, norm2, sup_norm
 
 __all__ = [
@@ -53,8 +53,8 @@ class SurrogateTuning:
     eps_inf: tuple[float, ...]
 
     def __post_init__(self):
-        eps2 = tuple(float(v) for v in _as_tuple(self.eps2))
-        eps_inf = tuple(float(v) for v in _as_tuple(self.eps_inf))
+        eps2 = tuple(_number("eps2 entries", v) for v in _as_tuple(self.eps2))
+        eps_inf = tuple(_number("eps_inf entries", v) for v in _as_tuple(self.eps_inf))
         if len(eps2) != len(eps_inf):
             raise DomainError(
                 f"eps2 and eps_inf must have equal length, got {len(eps2)} and {len(eps_inf)}"
@@ -101,8 +101,8 @@ def surrogate_target(space: Subspace, f, eps2: float, eps_inf: float) -> np.ndar
     ``f``.  Boundary convention: two-norm tie chooses the projection, sup-norm
     tie chooses ``f``.
     """
-    eps2 = float(eps2)
-    eps_inf = float(eps_inf)
+    eps2 = _number("eps2", eps2)
+    eps_inf = _number("eps_inf", eps_inf)
     f = np.asarray(f, dtype=np.float64)
     proj = space.project(f)
     resid = f - proj
@@ -185,7 +185,7 @@ def optimal_tuning(
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
     n, d = space.n, space.d
-    sigma = float(sigma)
+    sigma = _number("sigma", sigma)
     if d == n:
         eps2 = 0.0
     elif achievable:
@@ -219,10 +219,10 @@ def nested_tuning(
         raise DomainError(f"scale must be a NestedScale, got {type(scale).__name__}")
     m = scale.m
     n = scale.n
-    sigma = float(sigma)
+    sigma = _number("sigma", sigma)
     if alphas is None:
-        alphas = (float(alpha) / (m + 1),) * (m + 1)
-    alphas = tuple(float(a) for a in alphas)
+        alphas = (_number("alpha", alpha) / (m + 1),) * (m + 1)
+    alphas = tuple(_number("alphas entries", a) for a in alphas)
     if len(alphas) != m + 1:
         raise DomainError(
             f"alphas must have length m + 1 = {m + 1}, got {len(alphas)}"

@@ -8,6 +8,7 @@ loop share, is checked against the public per-level pieces at the edges of
 the selection rule.
 """
 
+import copy
 import gc
 import json
 import math
@@ -30,6 +31,7 @@ from surrband import (
     bonferroni_band,
     chi2_cdf,
     chi2_quantile,
+    cosine_basis,
     dyadic_blocks,
     dyadic_scale,
     level_widths,
@@ -174,6 +176,11 @@ class TestNoCoercion:
         lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate="no"),
         lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate=1),
         lambda t: subspace_band(TestNoCoercion.SPACE, np.zeros(8), 0.1, 1.0, per_coordinate=None),
+        lambda t: acceptance_threshold(8, 2, "0.1"),
+        lambda t: acceptance_threshold(8, True, 0.1),
+        lambda t: bands._feasible_rhs(8, 2, True, 0.1, 1.0),
+        lambda t: bands._feasible_rhs(8, 2, 0.5, "0.1", 1.0),
+        lambda t: bands._feasible_rhs(8, 2, 0.5, 0.1, "1"),
     ])
     def test_rejected(self, call):
         with pytest.raises(DomainError):
@@ -359,6 +366,27 @@ class TestAdaptiveNested:
             assert tb == pytest.approx(ta, rel=1e-10)
 
 
+class _Recorder:
+    """A level that records ``(level, rows)`` for each block it projects."""
+
+    def __init__(self, space, level, projected):
+        self.space, self.level, self.projected = space, level, projected
+
+    def _project_rows(self, Y):
+        self.projected.append((self.level, Y.shape[0]))
+        return self.space._project_rows(Y)
+
+
+def _recording(plan):
+    """A copy of ``plan`` whose block walk records what each level projects."""
+    projected = []
+    walker = copy.copy(plan)
+    walker.levels = tuple(
+        _Recorder(space, j, projected) for j, space in enumerate(plan.levels, start=1)
+    )
+    return walker, projected
+
+
 class TestBandPlan:
     """``bands._plan`` against the public per-level pieces, bit for bit."""
 
@@ -374,11 +402,18 @@ class TestBandPlan:
         width_ref = level_widths(scale, params)[selected - 1]
 
         band = adaptive_band_nested(scale, y, params)
-        t_walk, level, center, half = bands._plan(scale, params).walk(y)
+        plan = bands._plan(scale, params)
+        t_scan, level, center, half = plan.scan(y)
         assert band.selected_level == level == selected
         assert band.accepted is (selected <= scale.m)
-        assert band.t_stats == tuple(t_ref)
-        assert t_walk == t_ref[: min(selected, scale.m)]  # the walk stops at acceptance
+        assert band.t_stats == tuple(t_ref) == tuple(t_scan)
+        # The block walk of the one-row block y gives the same band, and
+        # projects only up to the accepted level: it stops at acceptance.
+        walker, projected = _recording(plan)
+        levels, centers, halves = walker.walk(y[None, :])
+        assert projected == [(j, 1) for j in range(1, min(selected, scale.m) + 1)]
+        assert levels.tolist() == [selected] and halves.tolist() == [half]
+        assert np.array_equal(centers[0], center_ref)
         assert band.thresholds == tuple(cut_ref)
         assert np.array_equal(band.center, center) and np.array_equal(center, center_ref)
         assert band.width == 2.0 * half == width_ref
@@ -464,6 +499,114 @@ class TestBandPlan:
         del scale
         gc.collect()
         assert plan() is None
+
+
+class TestBlockWalk:
+    """``_Plan.walk`` of a ``(k, n)`` block against ``_Plan.scan`` of each row."""
+
+    @staticmethod
+    def _agree(scale, params, block):
+        """Check every row of the walk against the one-vector scan, and that
+        each level projects exactly the rows that no coarser level accepted;
+        returns the selected levels."""
+        plan = bands._plan(scale, params)
+        walker, projected = _recording(plan)
+        levels, centers, halves = walker.walk(block)
+        assert levels.shape == halves.shape == (block.shape[0],)
+        assert centers.shape == block.shape
+        for y, level, center, half in zip(block, levels, centers, halves):
+            _, want_level, want_center, want_half = plan.scan(y.copy())
+            assert level == want_level and half == want_half
+            assert np.array_equal(center.view(np.int64), want_center.view(np.int64))
+        walking = [int(np.count_nonzero(levels >= j)) for j in range(1, scale.m + 1)]
+        assert projected == [(j, k) for j, k in enumerate(walking, start=1) if k]
+        return levels
+
+    @pytest.mark.parametrize("n", [7, 37, 100, 256, 4096])
+    def test_row_dots_are_ddot_bit_for_bit(self, n):
+        # The walk's row sums of squares equal the band call's r @ r.
+        block = np.random.default_rng(n).normal(size=(9, n)) * 5.0
+        for offset in range(9):  # every row offset of a block
+            rows = block[offset:]
+            got = np.vecdot(rows, rows)
+            assert got.shape == (9 - offset,)
+            for t, r in zip(got, rows):
+                assert t == float(r @ r) == float(r.copy() @ r.copy())
+
+    def test_one_block_holds_every_level_and_the_fallback(self):
+        scale, params = _nested_setup()
+        rng = np.random.default_rng(413)
+        truths = [  # members of levels 1, 2 and 3, and of none
+            np.zeros(256),
+            np.repeat([1.5, 0.5, -0.5, -1.5], 64),
+            np.repeat(np.linspace(-8.0, 8.0, 16), 16),
+            3.0 * np.tile([1.0, -1.0], 128),
+        ]
+        block = np.stack([truths[i % 4] + rng.normal(size=256) for i in range(24)])
+        levels = self._agree(scale, params, block)
+        assert set(levels.tolist()) == {1, 2, 3, 4}
+        assert levels[0] == 1 and levels[3] == 4  # interleaved, not sorted
+
+    def test_fallback_rows_keep_the_data_as_centre(self):
+        scale = dyadic_scale(32, [1, 4])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        rough = 40.0 * np.tile([1.0, -1.0], 16)
+        block = np.stack([rough, np.zeros(32), -rough])
+        assert self._agree(scale, params, block).tolist() == [3, 1, 3]
+        levels, centers, halves = bands._plan(scale, params).walk(rough[None, :])
+        assert levels.tolist() == [3] and np.array_equal(centers[0], rough)
+
+    def test_full_dimension_level_has_infinite_cutoff(self):
+        scale = dyadic_scale(16, [1, 16])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        spike = 40.0 * np.tile([1.0, -1.0], 8)
+        block = np.stack([spike, np.zeros(16), -spike, spike])
+        assert self._agree(scale, params, block).tolist() == [2, 1, 2, 2]
+        assert math.isinf(bands._plan(scale, params).cutoffs[1])
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 0.83])
+    def test_cutoff_hit_exactly(self, monkeypatch, sigma):
+        # The walk tests sums of squares against a cutoff scaled by sigma^2.
+        scale = dyadic_scale(32, [1, 4])
+        params = BandParams.equal_split(0.1, 0.2, sigma, nested_tuning(scale, 0.1, 0.2))
+        block = sigma * np.random.default_rng(414).normal(size=(6, 32))
+        t = [t_statistic(scale.levels[0], y, sigma) for y in block]
+        cutoff = sorted(t)[2]  # the third smallest statistic is the cutoff itself
+        real = bands.acceptance_threshold
+        monkeypatch.setattr(
+            bands, "acceptance_threshold", lambda n, d, g: cutoff if d == 1 else real(n, d, g)
+        )
+        bands._PLANS.pop(scale, None)  # rebuild the plan with this cutoff
+        levels = self._agree(scale, params, block)
+        assert [lv == 1 for lv in levels] == [ti <= cutoff for ti in t]
+        assert sum(lv == 1 for lv in levels) == 3
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1369, 10.89, 3e-5, 7e4, 2.0**-1060, 1e300])
+    def test_sum_of_squares_cutoff_is_exact(self, scale):
+        rng = np.random.default_rng(417)
+        for cutoff in [0.5, 1.0, 7.0, 1e300, *rng.uniform(1.0, 400.0, size=50)]:
+            s = bands._sum_of_squares_cutoff(cutoff, scale)
+            assert s / scale <= cutoff < math.nextafter(s, math.inf) / scale
+        assert bands._sum_of_squares_cutoff(math.inf, scale) == math.inf
+
+    def test_one_row_block(self):
+        scale, params = _nested_setup()
+        rng = np.random.default_rng(415)
+        for f in (np.zeros(256), np.repeat(np.linspace(-8.0, 8.0, 16), 16)):
+            self._agree(scale, params, (f + rng.normal(size=256))[None, :])
+
+    @pytest.mark.parametrize("levels", [
+        lambda n: (cosine_basis(n, 2), cosine_basis(n, 6)),
+        lambda n: (dyadic_blocks(n, 1), cosine_basis(n, 4), cosine_basis(n, 8)),
+    ], ids=["cosine", "mixed"])
+    def test_dense_and_mixed_chains(self, levels):
+        scale = NestedScale(levels(64))
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        rng = np.random.default_rng(416)
+        x = np.arange(1, 65) / 64
+        truths = [np.zeros(64), 2.0 * np.cos(np.pi * x), 3.0 * np.cos(5 * np.pi * x), 4.0 * np.tile([1.0, -1.0], 32)]
+        block = np.stack([truths[i % 4] + rng.normal(size=64) for i in range(16)])
+        assert len(set(self._agree(scale, params, block).tolist())) >= 3
 
 
 class TestAdaptiveSingle:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from surrband import bounds
 from surrband import (
     DomainError,
     LowerBoundReport,
@@ -44,6 +45,11 @@ class TestWTarget:
     def test_domain(self):
         with pytest.raises(DomainError):
             w_target(0.125, 0.45, 0.2)  # 1 - 2a - g <= 0
+
+    @pytest.mark.parametrize("args", [(True, 0.1, 0.1), (0.5, 0.1, 0.1, "2"), (0.5, "0.1", 0.1), (0.5, 0.1, False)])
+    def test_bools_and_strings_rejected(self, args):
+        with pytest.raises(DomainError):
+            w_target(*args)
 
 
 class TestV2Term:
@@ -261,3 +267,27 @@ class TestModulus:
     def test_domain(self):
         with pytest.raises(DomainError):
             modulus(-0.5, 0.5, 16, 1.0, 1.0)
+
+
+class TestNoCoercion:
+    """The shared checks take real numbers only: a bool or a string raises."""
+
+    @pytest.mark.parametrize("check", [bounds._check_pos, bounds._check_nonneg])
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_rejected(self, check, value):
+        with pytest.raises(DomainError):
+            check("x", value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: surrogate_lower_bound(dyadic_blocks(8, 2), "0.1", 0.3, 0.1, 0.1),
+        lambda: rn_lower_bound(8, 0.1, True),
+        lambda: besov_rate(8, 1.0, "0.1"),
+        lambda: modulus(True, 0.5, 8, 0.5, 0.3),
+    ])
+    def test_entry_points_reject(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_numpy_numbers_pass(self):
+        assert bounds._check_pos("x", np.float32(2.0)) == 2.0
+        assert w_target(np.float64(0.5), 0.1, 0.1) == w_target(0.5, 0.1, 0.1)

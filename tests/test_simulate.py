@@ -21,6 +21,7 @@ from surrband import (
     DomainError,
     FeasibilityError,
     Scenario,
+    NestedScale,
     SimReport,
     Subspace,
     SurrogateTuning,
@@ -37,6 +38,7 @@ from surrband import (
     normal_quantile,
     optimal_tuning,
     run,
+    subspace_band,
     sup_norm,
     surrogate_set,
 )
@@ -287,6 +289,62 @@ class TestRunMatchesBandCalls:
             any(covers(b, g) for g in candidates) for b in bands
         ) / 300
         assert report.true_coverage < report.surrogate_coverage
+
+    @pytest.mark.parametrize("case", ["n100-spoiler", "n100-zero", "cosine-spoiler", "cosine-zero"])
+    def test_every_replication_other_scales(self, case):
+        # n=100 draws uneven blocks of 40 replications; the cosine scale
+        # projects row by row; a zero truth has one surrogate candidate.
+        if case.startswith("n100"):
+            scale = dyadic_scale(100, [1, 5, 10])
+        else:
+            scale = NestedScale((cosine_basis(64, 2), cosine_basis(64, 6)))
+        n = scale.n
+        tuning = nested_tuning(scale, 0.1, 0.2)
+        params = BandParams.equal_split(0.1, 0.2, 1.0, tuning)
+        if case.endswith("spoiler"):
+            truth = make_spoiler(scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], 0.5)
+        else:
+            truth = np.zeros(n)
+        candidates = [c.values for c in surrogate_set(scale, truth, tuning)]
+        assert (len(candidates) > 1) == case.endswith("spoiler")
+        s = Scenario(kind="adaptive", truth=truth, reps=150, seed=22, scale=scale, params=params)
+        report = run(s, threads=2)
+
+        def covers(band, g):
+            return bool(np.all((band.lower <= g) & (g <= band.upper)))
+
+        bands = [adaptive_band_nested(scale, truth + gaussian_draw(22, rep, n), params) for rep in range(150)]
+        assert np.array_equal(report.widths, [b.width for b in bands])
+        assert report.level_histogram == {
+            str(j): sum(b.selected_level == j for b in bands) for j in range(1, scale.m + 2)
+        }
+        assert report.true_coverage == sum(covers(b, truth) for b in bands) / 150
+        assert report.surrogate_coverage == sum(
+            any(covers(b, g) for g in candidates) for b in bands
+        ) / 150
+
+    @pytest.mark.parametrize("space, per_coordinate", [
+        (dyadic_blocks(100, 7), False),
+        (dyadic_blocks(100, 7), True),
+        (cosine_basis(64, 4), False),
+        (cosine_basis(64, 4), True),
+    ])
+    def test_subspace_replications_match_band_calls(self, monkeypatch, space, per_coordinate):
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 6 * space.n)
+        n = space.n
+        truth = np.cos(np.pi * np.arange(1, n + 1) / n)
+        s = Scenario(
+            kind="subspace", truth=truth, reps=40, seed=23, space=space, alpha=0.1, sigma=0.8,
+            per_coordinate=per_coordinate,
+        )
+        report = run(s)
+        bands = [
+            subspace_band(space, truth + 0.8 * gaussian_draw(23, rep, n), 0.1, 0.8, per_coordinate=per_coordinate)
+            for rep in range(40)
+        ]
+        assert np.array_equal(report.widths, [b.width for b in bands])
+        covered = sum(bool(np.all((b.lower <= truth) & (truth <= b.upper))) for b in bands)
+        assert report.true_coverage == report.surrogate_coverage == covered / 40
 
     def test_dyadic_run_allocates_no_dense_basis(self):
         # A dense level-3 basis would be 256 x 4096 doubles (8 MiB); the

@@ -435,3 +435,49 @@ class TestExtremalNormRatios:
             min_two_norm_given_inf(s, -1.0)
         with pytest.raises(DomainError):
             max_inf_norm_given_two(s, -0.5)
+
+
+class TestBlockProjection:
+    """``_project_rows`` of a ``(k, n)`` block against ``_project`` of each row."""
+
+    @pytest.mark.parametrize("n, d", TestBlocksMatchDense.SHAPES)
+    def test_dyadic_rows_bitwise(self, n, d):
+        s = dyadic_blocks(n, d)
+        block = np.random.default_rng(2000 + n + d).normal(size=(5, n)) * 3.0
+        for offset in range(5):  # blocks starting at every row
+            got = s._project_rows(block[offset:])
+            for row, y in zip(got, block[offset:]):
+                assert np.array_equal(row.view(np.int64), s._project(y.copy()).view(np.int64))
+
+    def test_dense_rows_bitwise(self):
+        s = cosine_basis(33, 4)
+        block = np.random.default_rng(2001).normal(size=(4, 33))
+        got = s._project_rows(block)
+        assert got.shape == block.shape
+        for row, y in zip(got, block):
+            assert np.array_equal(row.view(np.int64), s.project(y).view(np.int64))
+
+
+class TestNoCoercion:
+    """A bool or a string is neither a count nor a number here."""
+
+    SPACE = dyadic_blocks(8, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: DesignGrid(True),
+        lambda: dyadic_blocks(8, True),
+        lambda: dyadic_blocks(True, 1),
+        lambda: cosine_basis(8, True),
+        lambda: cosine_basis(8, "2"),
+        lambda: min_two_norm_given_inf(TestNoCoercion.SPACE, "0.5"),
+        lambda: max_inf_norm_given_two(TestNoCoercion.SPACE, True),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_numpy_counts_and_numbers_pass(self):
+        assert DesignGrid(np.int64(4)).n == 4
+        assert dyadic_blocks(np.int64(8), np.int32(2)).d == 2
+        assert cosine_basis(8, np.int64(2)).d == 2
+        assert min_two_norm_given_inf(self.SPACE, np.float32(0.5)) == min_two_norm_given_inf(self.SPACE, 0.5)

@@ -258,3 +258,27 @@ class TestTuningOnData:
         f = h * resid
         assert 1 in selected_levels(scale, f, t)
         assert classify(scale, f, t) == SPOILER
+
+
+class TestNoCoercion:
+    """A bool or a string is not a number here."""
+
+    SPACE = dyadic_blocks(8, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SurrogateTuning(["0.1"], [0.5]),
+        lambda: SurrogateTuning([0.1], [True]),
+        lambda: SurrogateTuning(True, 0.5),
+        lambda: surrogate_target(TestNoCoercion.SPACE, np.zeros(8), "0.5", 0.1),
+        lambda: surrogate_target(TestNoCoercion.SPACE, np.zeros(8), 0.5, True),
+        lambda: nested_tuning(dyadic_scale(8, [1, 2]), 0.1, 0.2, sigma="1"),
+        lambda: nested_tuning(dyadic_scale(8, [1, 2]), True, 0.2),
+        lambda: nested_tuning(dyadic_scale(8, [1, 2]), 0.1, 0.2, alphas=(0.02, 0.02, "0.02")),
+        lambda: optimal_tuning(TestNoCoercion.SPACE, 0.1, 0.2, sigma=True),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_numpy_numbers_pass(self):
+        assert SurrogateTuning([np.float32(0.5)], [np.int64(1)]) == SurrogateTuning([0.5], [1.0])

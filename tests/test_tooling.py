@@ -4,7 +4,8 @@
 found in each owner's ``__dict__``, when a traced run starts; a name that the
 package no longer has there breaks that run only then, outside this suite,
 and a name that the package stops calling through silently reads 0.  These
-tests catch both here, and a drift of the draw from the fingerprint
+tests catch both here, check that a run draws and walks one block of
+replications per call, and catch a drift of the draw from the fingerprint
 ``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from surrband import Scenario, simulate
+from surrband import BandParams, Scenario, bands, dyadic_scale, nested_tuning, simulate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,6 +63,30 @@ def test_run_draws_one_block_per_call(monkeypatch):
     rows = simulate._BLOCK_VALUES // 64
     reps = 2 * rows + 5
     s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=reps, seed=1, alpha=0.1, sigma=1.0)
+    simulate.run(s)
+    assert calls == [rows, rows, 5]
+    calls.clear()
+    simulate.run(s, threads=2)  # two chunks of rows + 2 and rows + 3
+    assert sorted(calls) == [2, 3, rows, rows]
+
+
+def test_run_walks_one_block_per_call(monkeypatch):
+    # An adaptive run makes one band step per drawn block: the plan's block
+    # walk sees each block once, whatever the thread count.
+    calls = []
+    original = bands._Plan.walk
+
+    def counting(plan, block):
+        calls.append(block.shape[0])
+        return original(plan, block)
+
+    monkeypatch.setattr(bands._Plan, "walk", counting)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    rows = simulate._BLOCK_VALUES // 64
+    reps = 2 * rows + 5
+    scale = dyadic_scale(64, [1, 4, 16])
+    params = BandParams.equal_split(0.1, 0.1, 1.0, nested_tuning(scale, 0.1, 0.1))
+    s = Scenario(kind="adaptive", truth=np.zeros(64), reps=reps, seed=1, scale=scale, params=params)
     simulate.run(s)
     assert calls == [rows, rows, 5]
     calls.clear()
