@@ -31,108 +31,24 @@ Modules
     The ``surrband`` command-line interface.
 """
 
-from .errors import (
-    DomainError,
-    FeasibilityError,
-    RankDeficiencyError,
-    SurrbandError,
-)
-from .specfun import (
-    birge_bounds,
-    chi2_cdf,
-    chi2_quantile,
-    econst,
-    kappa,
-    normal_cdf,
-    normal_quantile,
-    qconst,
-    tau,
-    tau_inv,
-    z_upper,
-)
-from .subspace import (
-    DesignGrid,
-    NestedScale,
-    Subspace,
-    cosine_basis,
-    dyadic_blocks,
-    dyadic_scale,
-    function_basis,
-    inner_product,
-    max_inf_norm_given_two,
-    min_two_norm_given_inf,
-    norm2,
-    orthonormalize,
-    sup_norm,
-)
-from .surrogate import (
-    INVARIANT,
-    SPOILER,
-    SurrogateCandidate,
-    SurrogateTuning,
-    classify,
-    nested_tuning,
-    optimal_tuning,
-    selected_levels,
-    surrogate_set,
-    surrogate_target,
-)
-from .bands import (
-    Band,
-    BandParams,
-    acceptance_threshold,
-    adaptive_band_nested,
-    bonferroni_band,
-    level_widths,
-    min_feasible_gamma,
-    subspace_band,
-    t_statistic,
-)
-from .bounds import (
-    LowerBoundReport,
-    besov_rate,
-    lipschitz_rate,
-    modulus,
-    rn_lower_bound,
-    sobolev_rate,
-    surrogate_lower_bound,
-    v2_term,
-    w_target,
-)
-from .simulate import (
-    Scenario,
-    SimReport,
-    gaussian_draw,
-    make_spoiler,
-    run,
-)
+from .errors import *
+from .specfun import *
+from .subspace import *
+from .surrogate import *
+from .bands import *
+from .bounds import *
+from .simulate import *
+from . import bands, bounds, errors, simulate, specfun, subspace, surrogate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "SurrbandError", "DomainError", "RankDeficiencyError", "FeasibilityError",
-    # specfun
-    "normal_cdf", "normal_quantile", "z_upper", "tau", "tau_inv",
-    "chi2_cdf", "chi2_quantile", "kappa", "qconst", "econst", "birge_bounds",
-    # subspace
-    "DesignGrid", "Subspace", "NestedScale", "inner_product", "norm2",
-    "sup_norm", "orthonormalize", "dyadic_blocks", "dyadic_scale",
-    "function_basis", "cosine_basis", "min_two_norm_given_inf",
-    "max_inf_norm_given_two",
-    # surrogate
-    "SPOILER", "INVARIANT", "SurrogateTuning", "SurrogateCandidate",
-    "surrogate_target", "selected_levels", "surrogate_set", "classify",
-    "optimal_tuning", "nested_tuning",
-    # bands
-    "BandParams", "Band", "t_statistic", "acceptance_threshold",
-    "adaptive_band_nested", "min_feasible_gamma", "level_widths",
-    "bonferroni_band", "subspace_band",
-    # bounds
-    "LowerBoundReport", "w_target", "v2_term", "surrogate_lower_bound",
-    "rn_lower_bound", "lipschitz_rate", "sobolev_rate", "besov_rate",
-    "modulus",
-    # simulate
-    "Scenario", "SimReport", "run", "gaussian_draw", "make_spoiler",
+    *errors.__all__,
+    *specfun.__all__,
+    *subspace.__all__,
+    *surrogate.__all__,
+    *bands.__all__,
+    *bounds.__all__,
+    *simulate.__all__,
 ]

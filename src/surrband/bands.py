@@ -38,7 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .specfun import _LibraryRangeError, _is_int, _number, chi2_cdf, chi2_quantile, z_upper
+from .specfun import (
+    _LibraryRangeError,
+    _nonnegative,
+    _positive,
+    _probability,
+    _sigma,
+    _size,
+    chi2_cdf,
+    chi2_quantile,
+    z_upper,
+)
 from .subspace import NestedScale, Subspace, _as_vector
 from .surrogate import SurrogateTuning
 
@@ -72,27 +82,19 @@ class BandParams:
     alpha_split: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("alpha", "gamma"):
-            v = _number(name, getattr(self, name))
-            if not (math.isfinite(v) and 0.0 < v < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
-            object.__setattr__(self, name, v)
-        sigma = _number("sigma", self.sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "alpha", _probability("alpha", self.alpha))
+        object.__setattr__(self, "gamma", _probability("gamma", self.gamma))
+        object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
         if not isinstance(self.tuning, SurrogateTuning):
             raise DomainError(
                 f"tuning must be a SurrogateTuning, got {type(self.tuning).__name__}"
             )
-        split = tuple(_number("alpha_split entries", a) for a in self.alpha_split)
+        split = tuple(_positive("alpha_split entries", a) for a in self.alpha_split)
         if len(split) != self.tuning.m + 1:
             raise DomainError(
                 f"alpha_split must have length m + 1 = {self.tuning.m + 1}, "
                 f"got {len(split)}"
             )
-        if any(not (math.isfinite(a) and a > 0.0) for a in split):
-            raise DomainError(f"alpha_split entries must be positive, got {split!r}")
         if sum(split) > self.alpha * (1.0 + 1e-9) + 1e-15:
             raise DomainError(
                 f"alpha_split sums to {sum(split)!r}, exceeding alpha={self.alpha!r}"
@@ -110,7 +112,7 @@ class BandParams:
             gamma=gamma,
             sigma=sigma,
             tuning=tuning,
-            alpha_split=(float(alpha) / (m + 1),) * (m + 1),
+            alpha_split=(_probability("alpha", alpha) / (m + 1),) * (m + 1),
         )
 
     @property
@@ -155,9 +157,7 @@ class Band:
 def t_statistic(space: Subspace, y, sigma: float) -> float:
     """Residual sum of squares ``sum (y - project(y))^2 / sigma^2``."""
     y = _as_vector(y, space.n)
-    sigma = _number("sigma", sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    sigma = _sigma("sigma", sigma)
     resid = y - space.project(y)
     return float(resid @ resid) / (sigma * sigma)
 
@@ -165,9 +165,7 @@ def t_statistic(space: Subspace, y, sigma: float) -> float:
 def acceptance_threshold(n: int, d: int, gamma: float) -> float:
     """Residual-test cutoff: the ``1 - gamma`` chi-square quantile on ``n - d``
     degrees of freedom (``+inf`` when ``d == n``: nothing to test)."""
-    if not (_is_int(n) and _is_int(d)):
-        raise DomainError(f"n and d must be integers, got n={n!r}, d={d!r}")
-    gamma = _number("gamma", gamma)
+    n, d, gamma = _size("n", n, 1), _size("d", d, 0), _probability("gamma", gamma)
     if d == n:
         return math.inf
     return chi2_quantile(1.0 - gamma, n - d)
@@ -204,19 +202,11 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     :func:`_quantile_lower_bound`.  A lower cutoff can only raise the floor,
     so feasibility stays conservative.
     """
-    if not (_is_int(n) and _is_int(d)):
-        raise DomainError(f"n and d must be integers, got n={n!r}, d={d!r}")
-    if not 0 <= d < n:
+    n, d = _size("n", n, 1), _size("d", d, 0)
+    if not d < n:
         raise DomainError(f"need 0 <= d < n; got d={d}, n={n}")
-    eps2 = _number("eps2", eps2)
-    sigma = _number("sigma", sigma)
-    prob = _number("probability budget", prob)
-    if not (math.isfinite(eps2) and eps2 >= 0.0):
-        raise DomainError(f"eps2 must be nonnegative, got {eps2!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if not 0.0 < prob < 1.0:
-        raise DomainError(f"probability budget must lie in (0, 1), got {prob!r}")
+    eps2, sigma = _nonnegative("eps2", eps2), _sigma("sigma", sigma)
+    prob = _probability("probability budget", prob)
     ncp = n * eps2 * eps2 / (sigma * sigma)
     try:
         cutoff = chi2_quantile(prob, n - d, ncp)
@@ -429,15 +419,8 @@ def bonferroni_band(y, alpha: float, sigma: float) -> Band:
     Half-width ``sigma * z_upper(alpha / (2n))``; exact coverage probability
     ``(1 - alpha/n)^n`` for any mean vector.
     """
-    y = _as_vector(y)
-    n = y.shape[0]
-    alpha = _number("alpha", alpha)
-    sigma = _number("sigma", sigma)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    half = _bonferroni_half_width(n, alpha, sigma)
+    y, alpha, sigma = _as_vector(y), _probability("alpha", alpha), _sigma("sigma", sigma)
+    half = _bonferroni_half_width(y.shape[0], alpha, sigma)
     return Band(
         lower=y - half,
         upper=y + half,
@@ -460,12 +443,7 @@ def subspace_band(
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
     y = _as_vector(y, space.n)
-    alpha = _number("alpha", alpha)
-    sigma = _number("sigma", sigma)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    alpha, sigma = _probability("alpha", alpha), _sigma("sigma", sigma)
     if not isinstance(per_coordinate, bool):
         raise DomainError(f"per_coordinate must be a bool, got {per_coordinate!r}")
     center = space.project(y)

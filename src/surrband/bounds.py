@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import _number, kappa, tau_inv
+from .specfun import _finite, _nonnegative, _positive, _probability, _sigma, _size, kappa, tau_inv
 from .subspace import Subspace
 
 __all__ = [
@@ -30,28 +30,6 @@ __all__ = [
 ]
 
 
-def _check_pos(name: str, value: float) -> float:
-    value = _number(name, value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    value = _number(name, value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
-    return value
-
-
-def _check_count(name: str, value, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
 def w_target(omega: float, alpha: float, gamma: float, sigma: float = 1.0) -> float:
     """Benchmark half-width ``omega * sigma * tau_inv(1 - 2*alpha - gamma)``.
 
@@ -59,12 +37,11 @@ def w_target(omega: float, alpha: float, gamma: float, sigma: float = 1.0) -> fl
     level ``alpha`` and narrowness level ``gamma`` over a subspace with
     leverage ``omega``.
     """
-    omega = _check_nonneg("omega", omega)
+    omega = _nonnegative("omega", omega)
     if omega > 1.0:
         raise DomainError(f"omega must lie in [0, 1], got {omega!r}")
-    _check_pos("alpha", alpha)
-    _check_pos("gamma", gamma)
-    sigma = _check_pos("sigma", sigma)
+    alpha, gamma = _probability("alpha", alpha), _probability("gamma", gamma)
+    sigma = _sigma("sigma", sigma)
     return omega * sigma * tau_inv(1.0 - 2.0 * alpha - gamma)
 
 
@@ -76,8 +53,7 @@ def v2_term(n: int, d: int, alpha: float, gamma: float) -> float:
     ``delta = 1 - 2*alpha - gamma``: below it, departures from a
     ``d``-dimensional subspace cannot be tested with advantage ``delta``.
     """
-    n = _check_count("n", n)
-    d = _check_count("d", d, minimum=0)
+    n, d = _size("n", n, 1), _size("d", d, 0)
     if d > n:
         raise DomainError(f"d must not exceed n; got d={d}, n={n}")
     return kappa(alpha, gamma) * (n - d) ** 0.25 / math.sqrt(n)
@@ -129,9 +105,8 @@ def surrogate_lower_bound(
     n, d = space.n, space.d
     if d >= n:
         raise DomainError(f"the lower bound requires d < n; got d={d}, n={n}")
-    eps2 = _check_nonneg("eps2", eps2)
-    eps_inf = _check_nonneg("eps_inf", eps_inf)
-    sigma = _check_pos("sigma", sigma)
+    eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
+    sigma = _sigma("sigma", sigma)
     wf = w_target(space.omega, alpha, gamma, sigma)
     v0 = min(math.sqrt(n) * eps2, eps_inf, sigma * tau_inv(1.0 - 2.0 * alpha - gamma))
     v2 = v2_term(n, d, alpha, gamma)
@@ -146,10 +121,8 @@ def rn_lower_bound(n: int, alpha: float, eps: float, sigma: float = 1.0) -> floa
 
     Valid for ``0 < eps < 1/2 - alpha`` and ``n * eps^2 > 1``.
     """
-    n = _check_count("n", n)
-    alpha = _check_pos("alpha", alpha)
-    eps = _check_pos("eps", eps)
-    sigma = _check_pos("sigma", sigma)
+    n, alpha, eps = _size("n", n, 1), _probability("alpha", alpha), _positive("eps", eps)
+    sigma = _sigma("sigma", sigma)
     if not eps < 0.5 - alpha:
         raise DomainError(f"need eps < 1/2 - alpha; got alpha={alpha!r}, eps={eps!r}")
     if not n * eps * eps > 1.0:
@@ -165,11 +138,8 @@ def lipschitz_rate(n: int, lip: float, sigma: float, alpha: float, eps: float) -
     logarithm argument that stays positive (it can fail for tiny
     ``n * lip / sigma`` combinations).
     """
-    n = _check_count("n", n, minimum=3)
-    lip = _check_pos("lip", lip)
-    sigma = _check_pos("sigma", sigma)
-    alpha = _check_pos("alpha", alpha)
-    eps = _check_pos("eps", eps)
+    n, lip, sigma = _size("n", n, 3), _positive("lip", lip), _sigma("sigma", sigma)
+    alpha, eps = _probability("alpha", alpha), _positive("eps", eps)
     if not eps < 0.5 - alpha:
         raise DomainError(f"need eps < 1/2 - alpha; got alpha={alpha!r}, eps={eps!r}")
     logn = math.log(n)
@@ -191,8 +161,7 @@ def sobolev_rate(n: int, p: float) -> float:
 
     The slowly varying prefactor is not computed; this is the rate only.
     """
-    n = _check_count("n", n)
-    p = _check_pos("p", p)
+    n, p = _size("n", n, 1), _positive("p", p)
     return float(n) ** (-p / (2.0 * p + 1.0))
 
 
@@ -202,11 +171,7 @@ def besov_rate(n: int, p: float, xi: float) -> float:
     The rate only (no prefactor).  The exponent denominator ``1/p - xi - 1/2``
     must be bounded away from zero.
     """
-    n = _check_count("n", n)
-    p = _check_pos("p", p)
-    xi = _number("xi", xi)
-    if not math.isfinite(xi):
-        raise DomainError(f"xi must be finite, got {xi!r}")
+    n, p, xi = _size("n", n, 1), _positive("p", p), _finite("xi", xi)
     denom = 1.0 / p - xi - 0.5
     if abs(denom) < 1e-12:
         raise DomainError(
@@ -237,13 +202,11 @@ def modulus(
     ``u`` and ``eps2`` read in root-sum-of-squares units (no ``sqrt(n)``
     factors).
     """
-    u = _check_nonneg("u", u)
-    omega = _check_nonneg("omega", omega)
+    u, omega = _nonnegative("u", u), _nonnegative("omega", omega)
     if omega > 1.0:
         raise DomainError(f"omega must lie in [0, 1], got {omega!r}")
-    n = _check_count("n", n)
-    eps2 = _check_nonneg("eps2", eps2)
-    eps_inf = _check_nonneg("eps_inf", eps_inf)
+    n = _size("n", n, 1)
+    eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     # the subspace piece and the residual piece of the extremal perturbation
     shrink = math.sqrt(omega * omega / (1.0 + omega * omega))
     spread = math.sqrt(1.0 + omega * omega)

@@ -52,7 +52,16 @@ from .bands import (  # noqa: F401
     subspace_band,
 )
 from .errors import DomainError
-from .specfun import _is_int, _number, normal_quantile
+from .specfun import (
+    _count,
+    _finite,
+    _nonnegative,
+    _number,
+    _positive,
+    _probability,
+    _sigma,
+    normal_quantile,
+)
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 from .surrogate import surrogate_set
 
@@ -81,8 +90,8 @@ class Scenario:
     ``params``), ``"bonferroni"`` (requires ``alpha`` and ``sigma``), or
     ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``, and reads the
     bool ``per_coordinate``); ``alpha`` must be a number in (0, 1) and
-    ``sigma`` a finite positive number, checked here rather than at the first
-    replication.  A field that the kind does not read must be left at
+    ``sigma`` a finite positive number whose square is above 0, checked here
+    rather than at the first replication.  A field that the kind does not read must be left at
     ``None`` or ``False``.  ``truth`` is the mean vector; noise is
     ``N(0, sigma^2)`` per coordinate.
     """
@@ -107,10 +116,8 @@ class Scenario:
                 raise DomainError(f"{self.kind} scenarios do not use {name}=, got {value!r}")
         truth = _as_vector(self.truth)
         object.__setattr__(self, "truth", truth)
-        if not _is_int(self.reps) or self.reps < 1:
-            raise DomainError(f"reps must be a positive integer, got {self.reps!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _count("reps", self.reps, 1)
+        _count("seed", self.seed, 0)
         if self.kind == "adaptive":
             if not isinstance(self.scale, NestedScale) or not isinstance(self.params, BandParams):
                 raise DomainError("adaptive scenarios need scale= and params=")
@@ -121,13 +128,8 @@ class Scenario:
         else:
             if self.alpha is None or self.sigma is None:
                 raise DomainError(f"{self.kind} scenarios need alpha= and sigma=")
-            alpha, sigma = _number("alpha", self.alpha), _number("sigma", self.sigma)
-            if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-                raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-            if not (math.isfinite(sigma) and sigma > 0.0):
-                raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "sigma", sigma)
+            object.__setattr__(self, "alpha", _probability("alpha", self.alpha))
+            object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
             if self.kind == "subspace":
                 if not isinstance(self.space, Subspace):
                     raise DomainError("subspace scenarios need space=")
@@ -142,7 +144,7 @@ class Scenario:
 
     @property
     def noise_sigma(self) -> float:
-        return self.params.sigma if self.kind == "adaptive" else float(self.sigma)
+        return self.params.sigma if self.kind == "adaptive" else self.sigma
 
     @property
     def n(self) -> int:
@@ -223,18 +225,17 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
     raw words is elementwise, so one quantile call serves the whole block.
 
     ``seed`` must be a nonnegative int, ``n`` a positive int, and ``rep`` a
-    nonnegative int with ``rep + count <= 2**64`` (a ``bool`` is no int here);
-    anything else raises :class:`~surrband.errors.DomainError`.
+    nonnegative int with ``rep + count <= 2**64`` (a ``bool`` or a numpy
+    integer is no int here); anything else raises
+    :class:`~surrband.errors.DomainError`.
     """
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if count is not None and (not _is_int(count) or count < 1):
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if not _is_int(rep) or rep < 0 or rep + (count or 1) > 2**64:
+    _count("seed", seed, 0)
+    _count("n", n, 1)
+    if count is not None:
+        _count("count", count, 1)
+    if _count("rep", rep, 0) + (count or 1) > 2**64:
         raise DomainError(
-            f"rep must be a nonnegative integer with rep + count <= 2**64, got rep={rep!r}"
+            f"rep + count must be at most 2**64, got rep={rep!r}, count={count!r}"
         )
     raw = np.empty((1 if count is None else count, n), dtype=np.uint64)
     try:
@@ -276,12 +277,9 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     checked for feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
-    if not _is_int(threads) or threads < 1:
-        raise DomainError(f"threads must be a positive integer, got {threads!r}")
+    _count("threads", threads, 1)
     if width_threshold is not None:
-        width_threshold = _number("width_threshold", width_threshold)
-        if not math.isfinite(width_threshold):
-            raise DomainError("width_threshold must be finite")
+        width_threshold = _finite("width_threshold", width_threshold)
 
     f = scenario.truth
     n = scenario.n
@@ -402,13 +400,8 @@ def make_spoiler(space: Subspace, eps2: float, eps_inf: float, margin: float) ->
     """
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    eps2 = _number("eps2", eps2)
-    eps_inf = _number("eps_inf", eps_inf)
+    eps2, eps_inf = _positive("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     margin = _number("margin", margin)
-    if not (math.isfinite(eps2) and eps2 > 0.0):
-        raise DomainError(f"eps2 must be positive, got {eps2!r}")
-    if not (math.isfinite(eps_inf) and eps_inf >= 0.0):
-        raise DomainError(f"eps_inf must be nonnegative, got {eps_inf!r}")
     if not 0.0 < margin <= 1.0:
         raise DomainError(f"margin must lie in (0, 1], got {margin!r}")
 

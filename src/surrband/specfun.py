@@ -37,6 +37,24 @@ absolute for df up to 4095 and ncp up to 5000, ``chi2_quantile`` returns a
 relative.  A non-finite library result (``chndtr`` and ``chndtrix`` return NaN
 for ncp above about 1e11) raises :class:`~surrband.errors.DomainError` instead
 of being returned.
+
+Argument checks
+---------------
+This module is the one home of the package's numeric argument checks; every
+other module validates through its private helpers.  Each takes
+``(name, value)``, returns the checked value and raises
+:class:`~surrband.errors.DomainError` otherwise.  ``_number`` takes any real
+number (``int``, ``float`` or a numpy integer or float, but never a ``bool``
+or a ``str``); ``_finite``, ``_positive``, ``_nonnegative`` and
+``_probability`` (the open interval (0, 1)) add a range; ``_sigma`` is a
+positive finite noise level whose square does not underflow to 0;
+``_finite_array`` makes a rectangular array of kind ``i``, ``u`` or ``f``
+with finite entries a float64 array and refuses booleans, strings and
+objects.  Integers follow one of two rules.  ``_count(name, v, minimum)``
+takes a Python ``int`` only: replication keys, block counts, ``reps``,
+``seed`` and ``threads``, whose sums are checked against 2**64, where a
+numpy integer would wrap.  ``_size(name, v, minimum)`` also takes numpy
+integers: grid sizes, dimensions and degrees of freedom.
 """
 
 from __future__ import annotations
@@ -99,6 +117,15 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
+# --- argument checks (see the module docstring) ---------------------------
+#
+# A band call runs some of these on every call, so the common case, a
+# ``float`` in range, costs one type test and a comparison: no ``isinstance``
+# against numeric base classes, which cost about 1 us per call.
+
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _number(name: str, value) -> float:
     """``value`` as a float; only real numbers pass, and a ``bool`` is not one
     here (``float(True)`` would silently give 1.0, ``float("0.1")`` 0.1)."""
@@ -112,16 +139,88 @@ def _number(name: str, value) -> float:
         raise DomainError(f"{name} is beyond the double range") from None
 
 
-def _is_int(value) -> bool:
-    """An ``int`` that is not a ``bool`` (``True`` would pass ``isinstance(_, int)``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_finite(name: str, value) -> float:
-    value = _number(name, value)
+def _finite(name: str, value) -> float:
+    """A finite real number."""
+    if type(value) is not float:
+        value = _number(name, value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _positive(name: str, value) -> float:
+    """A finite real number above 0."""
+    if type(value) is not float:
+        value = _number(name, value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _nonnegative(name: str, value) -> float:
+    """A finite real number of at least 0."""
+    if type(value) is not float:
+        value = _number(name, value)
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
+    return value
+
+
+def _probability(name: str, value) -> float:
+    """A real number in the open interval (0, 1)."""
+    if type(value) is not float:
+        value = _number(name, value)
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _sigma(name: str, value) -> float:
+    """A noise level: finite, positive, and with a square above 0, since the
+    residual tests divide by ``sigma * sigma`` (it underflows below about
+    1.57e-162)."""
+    if type(value) is not float:
+        value = _number(name, value)
+    if not (0.0 < value < math.inf and value * value > 0.0):
+        raise DomainError(
+            f"{name} must be positive and finite with a square above 0, got {value!r}"
+        )
+    return value
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """A Python ``int`` of at least ``minimum``: seeds, thread numbers, and
+    replication keys and counts, whose sums are checked against 2**64, where
+    a numpy integer would wrap.  A ``bool`` is no count."""
+    if type(value) is not int or value < minimum:
+        raise DomainError(f"{name} must be a Python int of at least {minimum}, got {value!r}")
+    return value
+
+
+def _size(name: str, value, minimum: int) -> int:
+    """An ``int`` or a numpy integer of at least ``minimum``, returned as an
+    ``int`` so that no later arithmetic wraps: grid sizes, dimensions and
+    degrees of freedom.  A ``bool`` is no size."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < minimum:
+        raise DomainError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array of finite entries, the same object where it
+    is one already; only arrays of numpy kinds ``i``, ``u`` and ``f`` pass, so
+    booleans, strings and objects are not converted."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        raise DomainError(f"{name} must form a rectangular array") from None
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    return arr
 
 
 def normal_cdf(x: float) -> float:
@@ -306,8 +405,7 @@ def z_upper(p: float) -> float:
     Bisects on the survival form ``normal_cdf(-z)``, which keeps full relative
     accuracy for very small ``p`` (far upper tail).
     """
-    p = _check_finite("p", p)
-    _require(0.0 < p < 1.0, f"p must lie in (0, 1), got {p!r}")
+    p = _probability("p", p)
     lo, hi = -_Z_BRACKET, _Z_BRACKET
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -329,28 +427,19 @@ def tau(eps: float) -> float:
     ``tau(eps) = P(|Z| <= eps/2) = 1 - 2*normal_cdf(-eps/2)``; nonnegative
     ``eps`` required.  Strictly increasing, with ``tau(0) = 0``.
     """
-    eps = _check_finite("eps", eps)
-    _require(eps >= 0.0, f"eps must be nonnegative, got {eps!r}")
+    eps = _nonnegative("eps", eps)
     return 1.0 - 2.0 * normal_cdf(-eps / 2.0)
 
 
 def tau_inv(t: float) -> float:
     """Inverse of :func:`tau` on ``[0, 1)``: the interval length with
     two-sided Gaussian probability ``t``."""
-    t = _check_finite("t", t)
+    t = _number("t", t)
     _require(0.0 <= t < 1.0, f"t must lie in [0, 1), got {t!r}")
     return 2.0 * z_upper((1.0 - t) / 2.0)
 
 
 # --- chi-square -----------------------------------------------------------
-
-
-def _validate_chi2_args(df: float, ncp: float) -> tuple[float, float]:
-    df = _check_finite("df", df)
-    ncp = _check_finite("ncp", ncp)
-    _require(df > 0.0, f"df must be positive, got {df!r}")
-    _require(ncp >= 0.0, f"ncp must be nonnegative, got {ncp!r}")
-    return df, ncp
 
 
 class _LibraryRangeError(DomainError):
@@ -376,8 +465,7 @@ def chi2_cdf(x: float, df: float, ncp: float = 0.0) -> float:
     noncentral case ``scipy.special.chndtr``; absolute error below 1e-12 on
     the oracle grid of the module docstring.
     """
-    df, ncp = _validate_chi2_args(df, ncp)
-    x = _check_finite("x", x)
+    df, ncp, x = _positive("df", df), _nonnegative("ncp", ncp), _finite("x", x)
     if x <= 0.0:
         return 0.0
     if ncp == 0.0:
@@ -393,9 +481,7 @@ def chi2_quantile(u: float, df: float, ncp: float = 0.0) -> float:
     otherwise; ``|chi2_cdf(q) - u| <= 1e-8 * min(u, 1 - u)`` on the oracle
     grid of the module docstring.
     """
-    df, ncp = _validate_chi2_args(df, ncp)
-    u = _check_finite("u", u)
-    _require(0.0 < u < 1.0, f"u must lie in (0, 1), got {u!r}")
+    df, ncp, u = _positive("df", df), _nonnegative("ncp", ncp), _probability("u", u)
     if ncp == 0.0:
         return _library_value(2.0 * special.gammaincinv(df / 2.0, u), "chi2_quantile", u, df, ncp)
     return _library_value(special.chndtrix(u, df, ncp), "chi2_quantile", u, df, ncp)
@@ -409,9 +495,8 @@ def kappa(alpha: float, gamma: float) -> float:
 
     Defined for ``0 < alpha < 1`` and ``0 < gamma < 1 - 2*alpha``.
     """
-    alpha = _check_finite("alpha", alpha)
-    gamma = _check_finite("gamma", gamma)
-    _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _probability("alpha", alpha)
+    gamma = _number("gamma", gamma)
     _require(
         0.0 < gamma < 1.0 - 2.0 * alpha,
         f"gamma must lie in (0, 1 - 2*alpha); got alpha={alpha!r}, gamma={gamma!r}",
@@ -442,14 +527,7 @@ def qconst(m: int, beta: float, xi: float) -> float:
     raised if it is not finite or misses ``beta`` by more than 1e-9 relative.
     Requires ``0 < beta < 1 - xi < 1``.
     """
-    _require(
-        isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1,
-        f"m must be a positive integer, got {m!r}",
-    )
-    m = int(m)
-    beta = _check_finite("beta", beta)
-    xi = _check_finite("xi", xi)
-    _require(0.0 < xi < 1.0, f"xi must lie in (0, 1), got {xi!r}")
+    m, xi, beta = _size("m", m, 1), _probability("xi", xi), _number("beta", beta)
     _require(
         0.0 < beta < 1.0 - xi,
         f"beta must lie in (0, 1 - xi); got beta={beta!r}, xi={xi!r}",
@@ -481,12 +559,8 @@ def birge_bounds(z: float, d: float, u: float) -> tuple[float, float]:
 
     Returns the pair ``(lower, upper)``.
     """
-    z = _check_finite("z", z)
-    d = _check_finite("d", d)
-    u = _check_finite("u", u)
-    _require(z >= 0.0, f"z must be nonnegative, got {z!r}")
+    z, d, u = _nonnegative("z", z), _finite("d", d), _probability("u", u)
     _require(d >= 1.0, f"d must be at least 1, got {d!r}")
-    _require(0.0 < u < 1.0, f"u must lie in (0, 1), got {u!r}")
     base = 2.0 * z + d
     lower = z + d - 2.0 * math.sqrt(base * math.log(1.0 / u))
     tail = math.log(1.0 / (1.0 - u))

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .specfun import _is_int, _number
+from .specfun import _finite_array, _nonnegative, _size
 
 __all__ = [
     "DesignGrid",
@@ -52,11 +52,11 @@ _NESTING_TOL = 1e-10       # sup-norm reconstruction tolerance across levels
 
 
 def _as_vector(y, n: int | None = None) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
+    """``y`` as a 1-d float64 vector of finite real numbers (of length ``n``
+    if given), the same object where it is one already."""
+    arr = _finite_array("vector entries", y)
     if arr.ndim != 1:
         raise DomainError(f"expected a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("vector entries must be finite")
     if n is not None and arr.shape[0] != n:
         raise DomainError(f"expected a vector of length {n}, got {arr.shape[0]}")
     return arr
@@ -88,9 +88,7 @@ class DesignGrid:
     n: int
 
     def __post_init__(self):
-        if not (_is_int(self.n) or isinstance(self.n, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _size("n", self.n, 1))
 
     @property
     def x(self) -> np.ndarray:
@@ -107,14 +105,12 @@ class Subspace:
     """
 
     def __init__(self, basis):
-        b = np.array(basis, dtype=np.float64, order="C")
+        b = np.array(_finite_array("basis entries", basis), order="C")
         if b.ndim != 2:
             raise DomainError(f"basis must be 2-d (rows x grid), got shape {b.shape}")
         d, n = b.shape
         if d < 1 or n < 1 or d > n:
             raise DomainError(f"basis shape {b.shape} is not valid (need 1 <= d <= n)")
-        if not np.all(np.isfinite(b)):
-            raise DomainError("basis entries must be finite")
         gram = b @ b.T / n
         if np.max(np.abs(gram - np.eye(d))) > _ORTHO_TOL:
             raise DomainError(
@@ -240,11 +236,9 @@ def orthonormalize(rows) -> np.ndarray:
     numerically dependent and :class:`~surrband.errors.RankDeficiencyError`
     (naming the row) is raised.
     """
-    a = np.array(rows, dtype=np.float64)
+    a = _finite_array("row entries", rows)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DomainError(f"expected a nonempty 2-d array of rows, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("row entries must be finite")
     d, n = a.shape
     out = np.empty_like(a)
     for i in range(d):
@@ -269,11 +263,8 @@ def dyadic_blocks(n: int, d: int) -> Subspace:
     The subspace stores only the block boundaries: projections cost O(n), and
     ``basis`` builds the dense ``(d, n)`` matrix each time it is read.
     """
-    grid = DesignGrid(n)
-    if not (_is_int(d) or isinstance(d, np.integer)):
-        raise DomainError(f"d must be an integer, got {d!r}")
-    d = int(d)
-    if not 1 <= d <= grid.n:
+    grid, d = DesignGrid(n), _size("d", d, 1)
+    if not d <= grid.n:
         raise DomainError(f"d must lie in [1, n]; got d={d}, n={grid.n}")
     base, extra = divmod(grid.n, d)
     sizes = np.full(d, base, dtype=np.intp)
@@ -300,15 +291,14 @@ def function_basis(n: int, fns: Sequence[Callable[[np.ndarray], np.ndarray]]) ->
 
 def cosine_basis(n: int, d: int) -> Subspace:
     """Low-frequency cosine subspace: ``1, sqrt(2)cos(k pi x)`` for ``k < d``."""
-    if not (_is_int(d) or isinstance(d, np.integer)) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    d = _size("d", d, 1)
 
     def make(k: int):
         if k == 0:
             return lambda x: np.ones_like(x)
         return lambda x: math.sqrt(2.0) * np.cos(k * math.pi * x)
 
-    return function_basis(n, [make(k) for k in range(int(d))])
+    return function_basis(n, [make(k) for k in range(d)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,10 +361,7 @@ def min_two_norm_given_inf(space: Subspace, eps_inf: float) -> float:
     Equals ``eps_inf / (sqrt(n) * omega)``; the minimizer is the member whose
     coordinate profile peaks at the maximum-leverage grid point.
     """
-    eps_inf = _number("eps_inf", eps_inf)
-    if not (math.isfinite(eps_inf) and eps_inf >= 0.0):
-        raise DomainError(f"eps_inf must be nonnegative and finite, got {eps_inf!r}")
-    return eps_inf / (math.sqrt(space.n) * space.omega)
+    return _nonnegative("eps_inf", eps_inf) / (math.sqrt(space.n) * space.omega)
 
 
 def max_inf_norm_given_two(space: Subspace, eps2: float) -> float:
@@ -383,7 +370,4 @@ def max_inf_norm_given_two(space: Subspace, eps2: float) -> float:
     Equals ``eps2 * sqrt(n) * omega`` — the companion extremal identity to
     :func:`min_two_norm_given_inf`.
     """
-    eps2 = _number("eps2", eps2)
-    if not (math.isfinite(eps2) and eps2 >= 0.0):
-        raise DomainError(f"eps2 must be nonnegative and finite, got {eps2!r}")
-    return eps2 * math.sqrt(space.n) * space.omega
+    return _nonnegative("eps2", eps2) * math.sqrt(space.n) * space.omega

@@ -25,8 +25,8 @@ import numpy as np
 
 from .bounds import v2_term, w_target
 from .errors import DomainError
-from .specfun import _number, econst
-from .subspace import NestedScale, Subspace, norm2, sup_norm
+from .specfun import _nonnegative, _positive, _probability, _sigma, econst
+from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 
 __all__ = [
     "SPOILER",
@@ -53,18 +53,14 @@ class SurrogateTuning:
     eps_inf: tuple[float, ...]
 
     def __post_init__(self):
-        eps2 = tuple(_number("eps2 entries", v) for v in _as_tuple(self.eps2))
-        eps_inf = tuple(_number("eps_inf entries", v) for v in _as_tuple(self.eps_inf))
+        eps2 = tuple(_nonnegative("eps2 entries", v) for v in _as_tuple(self.eps2))
+        eps_inf = tuple(_nonnegative("eps_inf entries", v) for v in _as_tuple(self.eps_inf))
         if len(eps2) != len(eps_inf):
             raise DomainError(
                 f"eps2 and eps_inf must have equal length, got {len(eps2)} and {len(eps_inf)}"
             )
         if len(eps2) < 1:
             raise DomainError("tuning needs at least one level")
-        for name, values in (("eps2", eps2), ("eps_inf", eps_inf)):
-            for v in values:
-                if not (math.isfinite(v) and v >= 0.0):
-                    raise DomainError(f"{name} entries must be nonnegative and finite, got {v!r}")
         object.__setattr__(self, "eps2", eps2)
         object.__setattr__(self, "eps_inf", eps_inf)
 
@@ -75,9 +71,7 @@ class SurrogateTuning:
 
 
 def _as_tuple(value) -> tuple:
-    if isinstance(value, (int, float)):
-        return (value,)
-    return tuple(value)
+    return (value,) if np.ndim(value) == 0 else tuple(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +95,9 @@ def surrogate_target(space: Subspace, f, eps2: float, eps_inf: float) -> np.ndar
     ``f``.  Boundary convention: two-norm tie chooses the projection, sup-norm
     tie chooses ``f``.
     """
-    eps2 = _number("eps2", eps2)
-    eps_inf = _number("eps_inf", eps_inf)
-    f = np.asarray(f, dtype=np.float64)
-    proj = space.project(f)
+    eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
+    f = _as_vector(f, space.n)
+    proj = space._project(f)
     resid = f - proj
     if norm2(resid) <= eps2 and sup_norm(resid) > eps_inf:
         return proj
@@ -125,7 +118,7 @@ def _check_scale_tuning(scale: NestedScale, tuning: SurrogateTuning) -> None:
 def selected_levels(scale: NestedScale, f, tuning: SurrogateTuning) -> tuple[int, ...]:
     """1-based levels at which ``f`` is a spoiler (surrogate = projection)."""
     _check_scale_tuning(scale, tuning)
-    f = np.asarray(f, dtype=np.float64)
+    f = _as_vector(f, scale.n)
     out = []
     for j, space in enumerate(scale.levels, start=1):
         resid = f - space.project(f)
@@ -142,7 +135,7 @@ def surrogate_set(scale: NestedScale, f, tuning: SurrogateTuning) -> list[Surrog
     their provenance tags, in first-appearance order.
     """
     _check_scale_tuning(scale, tuning)
-    f = np.asarray(f, dtype=np.float64)
+    f = _as_vector(f, scale.n)
     sources: list[tuple[np.ndarray, str]] = []
     for j in selected_levels(scale, f, tuning):
         sources.append((scale.levels[j - 1].project(f), f"projection:{j}"))
@@ -180,20 +173,12 @@ def optimal_tuning(
     ``achievable=True``, ``econst(n-d, alpha/2, gamma) * (n-d)^(1/4) /
     sqrt(n)`` — the cap at which the concrete two-stage procedure certifies
     its guarantees.  With ``d == n`` there is no residual and the two-norm
-    cap is 0.
+    cap is 0.  This is :func:`nested_tuning` on the one-level scale of
+    ``space``, whose equal split gives the level the budget ``alpha / 2``.
     """
     if not isinstance(space, Subspace):
         raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    n, d = space.n, space.d
-    sigma = _number("sigma", sigma)
-    if d == n:
-        eps2 = 0.0
-    elif achievable:
-        eps2 = econst(n - d, alpha / 2.0, gamma) * (n - d) ** 0.25 / math.sqrt(n)
-    else:
-        eps2 = 2.0 * v2_term(n, d, alpha, gamma)
-    eps_inf = w_target(space.omega, alpha, gamma, sigma)
-    return SurrogateTuning((eps2,), (eps_inf,))
+    return nested_tuning(NestedScale((space,)), alpha, gamma, sigma, achievable=achievable)
 
 
 def nested_tuning(
@@ -219,16 +204,14 @@ def nested_tuning(
         raise DomainError(f"scale must be a NestedScale, got {type(scale).__name__}")
     m = scale.m
     n = scale.n
-    sigma = _number("sigma", sigma)
+    sigma = _sigma("sigma", sigma)
     if alphas is None:
-        alphas = (_number("alpha", alpha) / (m + 1),) * (m + 1)
-    alphas = tuple(_number("alphas entries", a) for a in alphas)
+        alphas = (_probability("alpha", alpha) / (m + 1),) * (m + 1)
+    alphas = tuple(_positive("alphas entries", a) for a in alphas)
     if len(alphas) != m + 1:
         raise DomainError(
             f"alphas must have length m + 1 = {m + 1}, got {len(alphas)}"
         )
-    if any(not (math.isfinite(a) and a > 0.0) for a in alphas):
-        raise DomainError(f"alphas entries must be positive, got {alphas!r}")
     eps2 = []
     eps_inf = []
     for j, space in enumerate(scale.levels):

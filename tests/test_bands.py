@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 import pytest
 
-from surrband import bands
+from surrband import bands, subspace
 from surrband import (
     Band,
     BandParams,
@@ -40,7 +40,11 @@ from surrband import (
     optimal_tuning,
     run,
     subspace_band,
+    lipschitz_rate,
+    rn_lower_bound,
+    surrogate_lower_bound,
     t_statistic,
+    w_target,
     z_upper,
 )
 
@@ -189,6 +193,67 @@ class TestNoCoercion:
     def test_numpy_numbers_pass(self):
         band = bonferroni_band(np.zeros(8), np.float32(0.1), np.int64(2))
         assert band.width == bonferroni_band(np.zeros(8), float(np.float32(0.1)), 2.0).width
+
+
+_SCALE = dyadic_scale(16, [1, 4])
+_TUNING = nested_tuning(_SCALE, 0.1, 0.1)
+_SPACE = _SCALE.levels[1]
+# The smallest double whose square is above 0, and the double below it.
+_SIGMA_CUTOFF = 1.5717277847026288e-162
+_SIGMA_BELOW = 1.5717277847026285e-162
+
+
+class TestSigmaSquareUnderflow:
+    """A sigma whose square underflows to 0 is refused where it enters, not
+    met later by a division by ``sigma * sigma``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: BandParams.equal_split(0.1, 0.1, s, _TUNING),
+        lambda s: BandParams(alpha=0.1, gamma=0.1, sigma=s, tuning=_TUNING, alpha_split=(0.03,) * 3),
+        lambda s: t_statistic(_SPACE, np.zeros(16), s),
+        lambda s: bonferroni_band(np.zeros(16), 0.1, s),
+        lambda s: subspace_band(_SPACE, np.zeros(16), 0.1, s),
+        lambda s: Scenario(kind="bonferroni", truth=np.zeros(16), reps=1, seed=1, alpha=0.1, sigma=s),
+        lambda s: Scenario(kind="subspace", truth=np.zeros(16), reps=1, seed=1, space=_SPACE,
+                           alpha=0.1, sigma=s),
+        lambda s: bands._feasible_rhs(16, 4, 0.5, 0.03, s),
+        lambda s: w_target(0.5, 0.1, 0.1, s),
+        lambda s: surrogate_lower_bound(_SPACE, 0.5, 0.3, 0.1, 0.1, s),
+        lambda s: rn_lower_bound(64, 0.1, 0.2, s),
+        lambda s: lipschitz_rate(64, 1.0, s, 0.1, 0.2),
+        lambda s: optimal_tuning(_SPACE, 0.1, 0.1, s),
+        lambda s: nested_tuning(_SCALE, 0.1, 0.1, s),
+    ])
+    @pytest.mark.parametrize("sigma", [1e-200, _SIGMA_BELOW])
+    def test_rejected(self, call, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            call(sigma)
+
+    def test_the_smallest_accepted_sigma_divides(self):
+        y = np.arange(16.0)
+        assert t_statistic(_SPACE, y, _SIGMA_CUTOFF) == math.inf
+        assert BandParams.equal_split(0.1, 0.1, _SIGMA_CUTOFF, _TUNING).sigma == _SIGMA_CUTOFF
+
+
+class TestVectorsAreNotCoerced:
+    """A vector of booleans, strings or objects is refused, not converted."""
+
+    @pytest.mark.parametrize("call", [
+        lambda v: bonferroni_band(v, 0.1, 1.0),
+        lambda v: subspace_band(_SPACE, v, 0.1, 1.0),
+        lambda v: t_statistic(_SPACE, v, 1.0),
+        lambda v: adaptive_band_nested(_SCALE, v, BandParams.equal_split(0.1, 0.1, 1.0, _TUNING)),
+    ])
+    @pytest.mark.parametrize("vector", [
+        [True, False] * 8, [str(i) for i in range(16)], np.array([1.0] * 15 + [None], dtype=object),
+    ])
+    def test_rejected(self, call, vector):
+        with pytest.raises(DomainError, match="vector entries"):
+            call(vector)
+
+    def test_float64_input_is_not_copied(self):
+        y = np.linspace(0.0, 1.0, 16)
+        assert subspace._as_vector(y, 16) is y
 
 
 class TestGammaFeasible:

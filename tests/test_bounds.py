@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from surrband import bounds
+from surrband import specfun
 from surrband import (
     DomainError,
     LowerBoundReport,
@@ -272,7 +272,7 @@ class TestModulus:
 class TestNoCoercion:
     """The shared checks take real numbers only: a bool or a string raises."""
 
-    @pytest.mark.parametrize("check", [bounds._check_pos, bounds._check_nonneg])
+    @pytest.mark.parametrize("check", [specfun._positive, specfun._nonnegative])
     @pytest.mark.parametrize("value", [True, "1", None])
     def test_rejected(self, check, value):
         with pytest.raises(DomainError):
@@ -289,5 +289,5 @@ class TestNoCoercion:
             call()
 
     def test_numpy_numbers_pass(self):
-        assert bounds._check_pos("x", np.float32(2.0)) == 2.0
+        assert specfun._positive("x", np.float32(2.0)) == 2.0
         assert w_target(np.float64(0.5), 0.1, 0.1) == w_target(0.5, 0.1, 0.1)

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from surrband import specfun
+from surrband import bands, specfun
 from surrband import (
     DomainError,
+    acceptance_threshold,
     birge_bounds,
     chi2_cdf,
     chi2_quantile,
@@ -33,6 +34,7 @@ from surrband import (
     qconst,
     tau,
     tau_inv,
+    v2_term,
     z_upper,
 )
 
@@ -675,6 +677,87 @@ class TestEntryPointsTakeRealNumbersOnly:
         assert normal_cdf(np.float32(0.0)) == 0.5
         assert chi2_cdf(np.int64(3), 2) == chi2_cdf(3.0, 2.0)
         assert qconst(np.int64(4), 0.05, 0.1) == qconst(4, 0.05, 0.1)
+
+
+# The smallest double whose square is above 0, and the double below it.
+_SIGMA_CUTOFF = 1.5717277847026288e-162
+_SIGMA_BELOW = 1.5717277847026285e-162
+
+# Not numbers to any check: a bool is no number and no count here.
+_NOT_NUMBERS = [True, False, np.bool_(True), "1", None, [1.0]]
+
+# (helper, extra arguments, accepted values, rejected values besides _NOT_NUMBERS)
+_HELPERS = [
+    ("_number", (), [0.5, -3, np.float32(0.5), np.int64(2), math.inf], [10**400]),
+    ("_finite", (), [0.0, -1e308, np.float64(2.5), 7], [math.nan, math.inf, -math.inf, 10**400]),
+    ("_positive", (), [5e-324, 1e308, np.float32(0.5), 3], [0.0, -1.0, math.nan, math.inf, -math.inf]),
+    ("_nonnegative", (), [0.0, 1.0, np.float64(2.0), 0], [-5e-324, math.nan, math.inf, -math.inf]),
+    ("_probability", (), [5e-324, 0.5, np.float64(1.0 - 2.0**-53)],
+     [0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf]),
+    ("_sigma", (), [_SIGMA_CUTOFF, 1.0, np.float64(2.0), 1],
+     [_SIGMA_BELOW, 1e-200, 5e-324, 0.0, -1.0, math.nan, math.inf, -math.inf]),
+    ("_count", (1,), [1, 2**64], [0, -1, 1.0, np.int64(1), np.uint8(1), math.nan, math.inf]),
+    ("_size", (1,), [1, np.int64(4), np.uint8(3)], [0, -1, 1.0, np.float64(2.0), math.nan, math.inf]),
+]
+
+
+class TestArgumentChecks:
+    """Every numeric argument of the package goes through one of these."""
+
+    @pytest.mark.parametrize("helper, extra, value", [
+        (helper, extra, value) for helper, extra, good, _ in _HELPERS for value in good
+    ])
+    def test_accepted(self, helper, extra, value):
+        got = getattr(specfun, helper)("x", value, *extra)
+        assert got == value
+        assert type(got) is (int if extra else float)
+
+    @pytest.mark.parametrize("helper, extra, value", [
+        (helper, extra, value) for helper, extra, _, bad in _HELPERS for value in bad + _NOT_NUMBERS
+    ])
+    def test_rejected(self, helper, extra, value):
+        with pytest.raises(DomainError, match="x"):
+            getattr(specfun, helper)("x", value, *extra)
+
+    def test_minimum(self):
+        assert specfun._count("seed", 0, 0) == 0
+        assert specfun._size("d", np.int64(0), 0) == 0
+        with pytest.raises(DomainError, match="at least 3"):
+            specfun._size("n", 2, 3)
+
+    @pytest.mark.parametrize("value", [
+        np.arange(3), np.arange(3, dtype=np.uint8), np.ones(2, dtype=np.float32),
+        [1, 2], [0.5, -0.5], np.ones(3, dtype=">f8"),
+    ])
+    def test_finite_array_accepted(self, value):
+        got = specfun._finite_array("x", value)
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert np.array_equal(got, np.asarray(value, dtype=np.float64))
+
+    def test_finite_array_keeps_float64_input(self):
+        y = np.linspace(0.0, 1.0, 5)
+        assert specfun._finite_array("x", y) is y
+
+    @pytest.mark.parametrize("value", [
+        [True, False], np.array([1, 0], dtype=bool), ["1", "2"], np.array([1.0, None], dtype=object),
+        [1j, 2.0], [1.0, math.nan], [math.inf], [[1.0], [-math.inf]], [10**400], [[1.0, 2.0], [3.0]],
+    ])
+    def test_finite_array_rejected(self, value):
+        with pytest.raises(DomainError, match="x"):
+            specfun._finite_array("x", value)
+
+    @pytest.mark.parametrize("call", [
+        lambda n, d: acceptance_threshold(n, d, 0.1),
+        lambda n, d: bands._feasible_rhs(n, d, 0.5, 0.03, 1.0),
+        lambda n, d: v2_term(n, d, 0.1, 0.1),
+    ])
+    def test_sizes_take_numpy_integers(self, call):
+        assert call(np.int64(16), np.int64(4)) == call(16, 4)
+        assert call(np.uint16(16), np.int32(4)) == call(16, 4)
+        with pytest.raises(DomainError):
+            call(16.0, 4)
+        with pytest.raises(DomainError):
+            call(16, True)
 
 
 class TestEConst:

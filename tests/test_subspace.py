@@ -476,6 +476,21 @@ class TestNoCoercion:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: dyadic_blocks(4, 2).project(["1", "2", "3", "4"]),
+        lambda: dyadic_blocks(4, 2).coefficients([True, False, True, False]),
+        lambda: cosine_basis(4, 2).project(np.array([1.0, 2.0, 3.0, None], dtype=object)),
+        lambda: norm2([1j, 1.0]),
+        lambda: inner_product([1.0, 2.0], [True, False]),
+        lambda: Subspace([[True] * 4]),
+        lambda: Subspace([["1", "1", "1", "1"]]),
+        lambda: orthonormalize([[True, False, True]]),
+        lambda: orthonormalize(np.array([["1", "0"]])),
+    ])
+    def test_arrays_of_non_numbers_rejected(self, call):
+        with pytest.raises(DomainError, match="entries must be real numbers"):
+            call()
+
     def test_numpy_counts_and_numbers_pass(self):
         assert DesignGrid(np.int64(4)).n == 4
         assert dyadic_blocks(np.int64(8), np.int32(2)).d == 2

@@ -280,5 +280,15 @@ class TestNoCoercion:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [surrogate_target, selected_levels, surrogate_set, classify])
+    @pytest.mark.parametrize("f", [[True, False] * 4, [str(i) for i in range(8)]])
+    def test_vectors_of_non_numbers_rejected(self, call, f):
+        scale = dyadic_scale(8, [2])
+        first = scale.levels[0] if call is surrogate_target else scale
+        rest = (0.5, 0.1) if call is surrogate_target else (SurrogateTuning([0.5], [0.1]),)
+        with pytest.raises(DomainError, match="vector entries"):
+            call(first, f, *rest)
+
     def test_numpy_numbers_pass(self):
         assert SurrogateTuning([np.float32(0.5)], [np.int64(1)]) == SurrogateTuning([0.5], [1.0])
+        assert SurrogateTuning(np.float32(0.5), np.int64(1)) == SurrogateTuning([0.5], [1.0])

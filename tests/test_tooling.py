@@ -6,7 +6,8 @@ package no longer has there breaks that run only then, outside this suite,
 and a name that the package stops calling through silently reads 0.  These
 tests catch both here, check that a run draws and walks one block of
 replications per call, and catch a drift of the draw from the fingerprint
-``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.
+``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
+also keep the numeric argument checks in ``specfun``, their one home.
 """
 
 import ast
@@ -114,3 +115,28 @@ def test_draw_matches_the_benchmark_fingerprint():
     got = simulate.gaussian_draw(0, 0, 4)
     assert want.shape == (4,)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+PACKAGE = TRACING.parents[1] / "src" / "surrband"
+
+# Helpers that once checked arguments outside specfun's, and the messages of
+# specfun's range checks; neither may appear in another module.  cli.py is
+# exempt: its key tables check JSON types and name config paths.
+_DELETED_CHECKS = (
+    "_is_int", "_check_finite", "_validate_chi2_args", "_check_pos", "_check_nonneg", "_check_count",
+)
+_CHECK_STEMS = ("must lie in (0, 1)", "must be positive", "must be nonnegative", "must be finite")
+
+
+def test_argument_checks_live_in_specfun():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("specfun.py", "cli.py"):
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            found += [
+                f"{path.name}:{number}: {word}"
+                for word in _DELETED_CHECKS + _CHECK_STEMS
+                if word in line
+            ]
+    assert not found, found
