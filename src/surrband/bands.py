@@ -19,11 +19,14 @@ the feasible range.  A single subspace is the one-level scale
 The per-configuration constants of the adaptive band (feasibility floor,
 chi-square cutoffs, half-widths) are computed once per ``(scale, params)`` in
 a private plan that :func:`adaptive_band_nested` and the Monte Carlo driver
-share.  The band call tests its one vector at every level, for the ``tStats``
-it reports; a Monte Carlo run walks a block of replications at a time, each
-row only up to its first accepted level, with the same bits per row.  A
-one-row block costs the numpy call overhead of the 2-d arrays, so the band
-call keeps its own one-vector path.
+share; the half-widths come from the same private function as
+:func:`level_widths`.  The band call tests its one vector at every level, for
+the ``tStats`` it reports; a Monte Carlo run walks a block of replications at
+a time, each row only up to its first accepted level.  Both make the residual
+test of :func:`t_statistic`, the sum of squares divided by ``sigma^2`` against
+the cutoff, so every row has the bits of a band call.  A one-row block costs
+the numpy call overhead of the 2-d arrays, so the band call keeps its own
+one-vector path.
 
 :func:`bonferroni_band` and :func:`subspace_band` are the two non-adaptive
 baselines.
@@ -40,6 +43,7 @@ import numpy as np
 from .errors import DomainError, FeasibilityError
 from .specfun import (
     _LibraryRangeError,
+    _instance,
     _nonnegative,
     _positive,
     _probability,
@@ -85,10 +89,7 @@ class BandParams:
         object.__setattr__(self, "alpha", _probability("alpha", self.alpha))
         object.__setattr__(self, "gamma", _probability("gamma", self.gamma))
         object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
-        if not isinstance(self.tuning, SurrogateTuning):
-            raise DomainError(
-                f"tuning must be a SurrogateTuning, got {type(self.tuning).__name__}"
-            )
+        _instance("tuning", self.tuning, SurrogateTuning)
         split = tuple(_positive("alpha_split entries", a) for a in self.alpha_split)
         if len(split) != self.tuning.m + 1:
             raise DomainError(
@@ -106,7 +107,7 @@ class BandParams:
         cls, alpha: float, gamma: float, sigma: float, tuning: SurrogateTuning
     ) -> "BandParams":
         """Budget ``alpha`` equally over the ``m`` levels and the fallback."""
-        m = tuning.m
+        m = _instance("tuning", tuning, SurrogateTuning).m
         return cls(
             alpha=alpha,
             gamma=gamma,
@@ -156,7 +157,7 @@ class Band:
 
 def t_statistic(space: Subspace, y, sigma: float) -> float:
     """Residual sum of squares ``sum (y - project(y))^2 / sigma^2``."""
-    y = _as_vector(y, space.n)
+    y = _as_vector(y, _instance("space", space, Subspace).n)
     sigma = _sigma("sigma", sigma)
     resid = y - space.project(y)
     return float(resid @ resid) / (sigma * sigma)
@@ -169,10 +170,6 @@ def acceptance_threshold(n: int, d: int, gamma: float) -> float:
     if d == n:
         return math.inf
     return chi2_quantile(1.0 - gamma, n - d)
-
-
-def _half_width_accepted(space: Subspace, budget: float, sigma: float, eps_inf: float) -> float:
-    return sigma * space.omega * z_upper(budget / (2.0 * space.n)) + eps_inf
 
 
 def _bonferroni_half_width(n: int, alpha: float, sigma: float) -> float:
@@ -208,6 +205,11 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     eps2, sigma = _nonnegative("eps2", eps2), _sigma("sigma", sigma)
     prob = _probability("probability budget", prob)
     ncp = n * eps2 * eps2 / (sigma * sigma)
+    if not math.isfinite(ncp):  # eps2^2 overflows, and past that sigma^2 too
+        raise DomainError(
+            f"the residual noncentrality n * eps2^2 / sigma^2 overflows at "
+            f"eps2={eps2!r}, sigma={sigma!r}"
+        )
     try:
         cutoff = chi2_quantile(prob, n - d, ncp)
     except _LibraryRangeError:
@@ -231,8 +233,7 @@ def min_feasible_gamma(scale: NestedScale, params: BandParams) -> float:
     The per-level requirement uses the level's own coverage budget
     ``alpha_split[j]``; fully saturated levels (``d == n``) impose nothing.
     """
-    if params.m != scale.m:
-        raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
+    _check_scale_params(scale, params)
     n = scale.n
     worst = 0.0
     for j, space in enumerate(scale.levels):
@@ -245,34 +246,28 @@ def min_feasible_gamma(scale: NestedScale, params: BandParams) -> float:
     return worst
 
 
+def _check_scale_params(scale: NestedScale, params: BandParams) -> None:
+    _instance("scale", scale, NestedScale)
+    if _instance("params", params, BandParams).m != scale.m:
+        raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
+
+
 def level_widths(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
     """Design widths per level: ``2 * half_width`` for levels ``1..m`` and the
     fallback, in order.  Independent of the data."""
-    if params.m != scale.m:
-        raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
-    widths = [
-        2.0
-        * _half_width_accepted(
-            space, params.alpha_split[j], params.sigma, params.tuning.eps_inf[j]
-        )
+    _check_scale_params(scale, params)
+    return tuple(2.0 * half for half in _level_halves(scale, params))
+
+
+def _level_halves(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
+    """The ``m + 1`` half-widths of the adaptive band: level ``j`` accepted,
+    ``sigma * omega_j * z_upper(alpha_split[j] / (2n)) + eps_inf[j]``, and
+    last the fallback's Bonferroni half-width at the budget left to it."""
+    n, sigma = scale.n, params.sigma
+    return tuple(
+        sigma * space.omega * z_upper(params.alpha_split[j] / (2.0 * n)) + params.tuning.eps_inf[j]
         for j, space in enumerate(scale.levels)
-    ]
-    widths.append(2.0 * _bonferroni_half_width(scale.n, params.alpha_split[scale.m], params.sigma))
-    return tuple(widths)
-
-
-def _sum_of_squares_cutoff(cutoff: float, scale: float) -> float:
-    """The largest double ``s`` whose quotient ``s / scale`` is at most
-    ``cutoff``: rounding a division is monotone, so ``s <= result`` exactly
-    when ``s / scale <= cutoff``, and a residual test needs no division."""
-    if math.isinf(cutoff):
-        return cutoff
-    s = cutoff * scale
-    while s / scale > cutoff:
-        s = math.nextafter(s, -math.inf)
-    while math.nextafter(s, math.inf) / scale <= cutoff:
-        s = math.nextafter(s, math.inf)
-    return s
+    ) + (_bonferroni_half_width(n, params.alpha_split[scale.m], sigma),)
 
 
 class _Plan:
@@ -282,27 +277,21 @@ class _Plan:
     fallback half-width, so that a band costs only its residual tests.
     :meth:`scan` tests one vector at every level, for the band call;
     :meth:`walk` tests a block of replications, each row up to its first
-    accepted level, for the Monte Carlo run.  Both give the same bits.
+    accepted level, for the Monte Carlo run.  Both divide each residual sum
+    of squares by ``sigma^2`` and compare the quotient with the level's
+    cutoff, as :func:`t_statistic` does, so they give the same bits.
     """
 
     def __init__(self, scale: NestedScale, params: BandParams):
-        n = scale.n
-        self.sigma = params.sigma
+        self.variance = params.sigma * params.sigma
         self.levels = scale.levels
         self.cutoffs = tuple(
-            acceptance_threshold(n, space.d, params.gamma) for space in scale.levels
+            acceptance_threshold(scale.n, space.d, params.gamma) for space in scale.levels
         )
-        self.halves = tuple(
-            _half_width_accepted(space, params.alpha_split[j], params.sigma, params.tuning.eps_inf[j])
-            for j, space in enumerate(scale.levels)
-        ) + (_bonferroni_half_width(n, params.alpha_split[scale.m], params.sigma),)
+        self.halves = _level_halves(scale, params)
         # Entry j is the half-width of the 1-based level j, entry 0 unused:
         # the block walk looks its rows up by level in one call.
         self._halves = np.array((math.nan,) + self.halves)
-        # The block walk's cutoffs on the residual sums of squares themselves.
-        self._ss_cutoffs = tuple(
-            _sum_of_squares_cutoff(c, self.sigma * self.sigma) for c in self.cutoffs
-        )
 
     def scan(self, y: np.ndarray):
         """Residual tests of the vector ``y`` at every level.
@@ -319,7 +308,7 @@ class _Plan:
         for j, (space, cutoff) in enumerate(zip(self.levels, self.cutoffs), start=1):
             proj = space._project(y)
             resid = y - proj
-            t = float(resid @ resid) / (self.sigma * self.sigma)
+            t = float(resid @ resid) / self.variance
             t_stats.append(t)
             if t <= cutoff and center is y:
                 selected, center = j, proj
@@ -337,13 +326,13 @@ class _Plan:
         """
         selected = np.full(Y.shape[0], len(self.levels) + 1)
         center, live, rows = Y, None, Y  # live: indices of the rows in rows, None for all
-        for j, (space, cutoff) in enumerate(zip(self.levels, self._ss_cutoffs), start=1):
+        for j, (space, cutoff) in enumerate(zip(self.levels, self.cutoffs), start=1):
             proj = space._project_rows(rows)
             resid = rows - proj
-            # vecdot runs the ddot of resid @ resid on each row, so the sums
-            # of squares are scan's bit for bit (einsum and (R * R).sum(1)
+            # vecdot runs the ddot of resid @ resid on each row, so the
+            # statistics are scan's bit for bit (einsum and (R * R).sum(1)
             # add in other orders).
-            accept = np.vecdot(resid, resid) <= cutoff
+            accept = np.vecdot(resid, resid) / self.variance <= cutoff
             hits = np.count_nonzero(accept)
             if hits == 0:
                 continue
@@ -394,9 +383,8 @@ def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
     :class:`~surrband.errors.FeasibilityError` when ``gamma`` is below
     :func:`min_feasible_gamma` for this configuration.
     """
-    if params.m != scale.m:
-        raise DomainError(f"params describe {params.m} levels, scale has {scale.m}")
-    y = _as_vector(y, scale.n)
+    _instance("params", params, BandParams)
+    y = _as_vector(y, _instance("scale", scale, NestedScale).n)
     plan = _plan(scale, params)
     t_stats, selected, center, half = plan.scan(y)
     if center is y:
@@ -440,12 +428,9 @@ def subspace_band(
     with ``per_coordinate=True`` each coordinate instead uses its own
     leverage, giving a narrower band off the peak-leverage coordinates.
     """
-    if not isinstance(space, Subspace):
-        raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    y = _as_vector(y, space.n)
+    y = _as_vector(y, _instance("space", space, Subspace).n)
     alpha, sigma = _probability("alpha", alpha), _sigma("sigma", sigma)
-    if not isinstance(per_coordinate, bool):
-        raise DomainError(f"per_coordinate must be a bool, got {per_coordinate!r}")
+    _instance("per_coordinate", per_coordinate, bool)
     center = space.project(y)
     half, width = _subspace_half_width(space, alpha, sigma, per_coordinate)
     return Band(

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import _finite, _nonnegative, _positive, _probability, _sigma, _size, kappa, tau_inv
+from .specfun import (
+    _finite, _instance, _nonnegative, _positive, _probability, _sigma, _size, kappa, tau_inv,
+)
 from .subspace import Subspace
 
 __all__ = [
@@ -100,9 +102,7 @@ def surrogate_lower_bound(
     Requires ``d < n`` (with ``d == n`` there is no residual direction and no
     obstruction).  See :class:`LowerBoundReport` for the decomposition.
     """
-    if not isinstance(space, Subspace):
-        raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
-    n, d = space.n, space.d
+    n, d = _instance("space", space, Subspace).n, space.d
     if d >= n:
         raise DomainError(f"the lower bound requires d < n; got d={d}, n={n}")
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)

@@ -37,6 +37,7 @@ indentation so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -476,8 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on the first call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(_load_config(args.config, args.check), args)
     except (FeasibilityError, DomainError, MemoryError) as exc:  # MemoryError: n or reps too big

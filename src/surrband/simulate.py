@@ -12,15 +12,15 @@ draw stream v1: the same seed gives the same noise as ever.  Each
 replication's Philox generator is a kept object reset to a kept state with
 only the replication index rewritten.
 
-The noise of a block of replications is drawn in one call, and every kind
-of run takes one band step per block: the Bonferroni band around the block,
+Replications are cut into blocks on one grid for every thread count.  The
+noise of a block is drawn in one call, and one band step per block gives
+each row a centre and a half-width: the Bonferroni band around the block,
 the projection of the block for a subspace run, or the block walk of the
-private band plan of :mod:`surrband.bands` for an adaptive run (its constants
-are computed once per run, each row projects only up to its first accepted
-level).  The truth, and for adaptive runs all surrogate candidates, are then
-checked against the bands of the whole block in one comparison.  There is no
-per-replication Python loop, and each row has the same bits as a single draw
-and a single band call.
+private band plan of :mod:`surrband.bands` for an adaptive run.  The
+surrogate candidates (outside the adaptive procedure, the truth alone) are
+then checked against the bands of the whole block in one comparison.  There
+is no per-replication Python loop, and each row has the same bits as a
+single draw and a single band call.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -55,6 +55,7 @@ from .errors import DomainError
 from .specfun import (
     _count,
     _finite,
+    _instance,
     _nonnegative,
     _number,
     _positive,
@@ -108,7 +109,7 @@ class Scenario:
     per_coordinate: bool = False
 
     def __post_init__(self):
-        if self.kind not in _FIELDS:
+        if _instance("kind", self.kind, str) not in _FIELDS:
             raise DomainError(f"kind must be one of {tuple(_FIELDS)}, got {self.kind!r}")
         for name in ("scale", "params", "space", "alpha", "sigma", "per_coordinate"):
             value = getattr(self, name)
@@ -119,9 +120,8 @@ class Scenario:
         _count("reps", self.reps, 1)
         _count("seed", self.seed, 0)
         if self.kind == "adaptive":
-            if not isinstance(self.scale, NestedScale) or not isinstance(self.params, BandParams):
-                raise DomainError("adaptive scenarios need scale= and params=")
-            if truth.shape[0] != self.scale.n:
+            _instance("params", self.params, BandParams)
+            if truth.shape[0] != _instance("scale", self.scale, NestedScale).n:
                 raise DomainError(
                     f"truth has length {truth.shape[0]} but the scale grid is {self.scale.n}"
                 )
@@ -131,13 +131,8 @@ class Scenario:
             object.__setattr__(self, "alpha", _probability("alpha", self.alpha))
             object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
             if self.kind == "subspace":
-                if not isinstance(self.space, Subspace):
-                    raise DomainError("subspace scenarios need space=")
-                if not isinstance(self.per_coordinate, bool):
-                    raise DomainError(
-                        f"per_coordinate must be a bool, got {self.per_coordinate!r}"
-                    )
-                if truth.shape[0] != self.space.n:
+                _instance("per_coordinate", self.per_coordinate, bool)
+                if truth.shape[0] != _instance("space", self.space, Subspace).n:
                     raise DomainError(
                         f"truth has length {truth.shape[0]} but the subspace grid is {self.space.n}"
                     )
@@ -261,22 +256,24 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
     return normal_quantile(u if count is not None else u[0])
 
 
-def _worker_count(threads: int, reps: int) -> int:
-    """Threads worth starting: no more than requested, replications or CPUs."""
-    return min(threads, reps, os.cpu_count() or 1)
+def _worker_count(threads: int, blocks: int) -> int:
+    """Threads worth starting: no more than requested, blocks or CPUs."""
+    return min(threads, blocks, os.cpu_count() or 1)
 
 
 def run(scenario: Scenario, *, width_threshold: float | None = None, threads: int = 1) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
-    Each worker draws its noise one block of replications at a time (see
-    ``_BLOCK_VALUES``) and takes one band step and one coverage comparison
-    per block.  ``threads > 1`` splits replications into contiguous
-    chunks executed in a thread pool of at most ``os.cpu_count()`` workers;
-    results are byte-identical to the serial run.  Adaptive scenarios are
-    checked for feasibility once up front (raising
+    Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
+    starting at the multiples of that size whatever the thread count; each
+    block is one noise draw, one band step and one coverage comparison.
+    ``threads > 1`` hands whole blocks to a thread pool of at most
+    ``os.cpu_count()`` workers and no more workers than blocks; results are
+    byte-identical to the serial run.  Adaptive scenarios are checked for
+    feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
+    _instance("scenario", scenario, Scenario)
     _count("threads", threads, 1)
     if width_threshold is not None:
         width_threshold = _finite("width_threshold", width_threshold)
@@ -288,7 +285,9 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     seed = scenario.seed
     rows = max(1, _BLOCK_VALUES // n)
 
+    # Outside the adaptive procedure the only surrogate candidate is the truth.
     plan = space = None
+    candidates, truth = f[None], 0
     if scenario.kind == "adaptive":
         plan = _plan(scenario.scale, scenario.params)
         candidates = surrogate_set(scenario.scale, f, scenario.params.tuning)
@@ -296,51 +295,44 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
         truth = next(i for i, c in enumerate(candidates) if "identity" in c.tags)
         candidates = np.stack([c.values for c in candidates])
     elif scenario.kind == "bonferroni":
-        half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
-        width = 2.0 * half
+        fixed_half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
+        width = 2.0 * fixed_half
     else:
         space = scenario.space
-        half, width = _subspace_half_width(space, scenario.alpha, scenario.sigma, scenario.per_coordinate)
+        fixed_half, width = _subspace_half_width(space, scenario.alpha, scenario.sigma, scenario.per_coordinate)
 
     widths = np.empty(reps, dtype=np.float64)
     cover_true = np.zeros(reps, dtype=bool)
-    # Outside the adaptive procedure the only surrogate candidate is the truth.
-    cover_surr = cover_true if plan is None else np.zeros(reps, dtype=bool)
+    cover_surr = np.zeros(reps, dtype=bool)
     levels = None if plan is None else np.zeros(reps, dtype=np.int64)
 
-    def work(lo: int, hi: int) -> None:
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
+    def work(starts: range) -> None:
+        for start in starts:
+            stop = min(start + rows, reps)
             block = f + sigma * gaussian_draw(seed, start, n, stop - start)
-            if plan is not None:
-                levels[start:stop], center, halves = plan.walk(block)
-                widths[start:stop] = 2.0 * halves
-                # Rows against every candidate in one (k, c, n) comparison.
-                center, halves = center[:, None], halves[:, None, None]
-                lower, upper = center - halves, center + halves
-                covered = ((lower <= candidates) & (candidates <= upper)).all(axis=2)
-                cover_surr[start:stop] = covered.any(axis=1)
-                cover_true[start:stop] = covered[:, truth]
-            else:
+            if plan is None:
                 # bonferroni_band's and subspace_band's arithmetic, row by row.
                 center = block if space is None else space._project_rows(block)
-                lower, upper = center - half, center + half
+                half = fixed_half
                 widths[start:stop] = width
-                cover_true[start:stop] = np.all((lower <= f) & (f <= upper), axis=1)
+            else:
+                levels[start:stop], center, half = plan.walk(block)
+                widths[start:stop] = 2.0 * half
+                half = half[:, None, None]
+            # Rows against every candidate in one (k, c, n) comparison.
+            center = center[:, None]
+            covered = ((center - half <= candidates) & (candidates <= center + half)).all(axis=2)
+            cover_surr[start:stop] = covered.any(axis=1)
+            cover_true[start:stop] = covered[:, truth]
 
-    workers = _worker_count(threads, reps)
+    starts = range(0, reps, rows)
+    workers = _worker_count(threads, len(starts))
     if workers == 1:
-        work(0, reps)
+        work(starts)
     else:
-        bounds_list = np.linspace(0, reps, workers + 1).astype(int)
+        # Worker i takes blocks i, i + workers, ...: one task per worker.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(work, int(lo), int(hi))
-                for lo, hi in zip(bounds_list[:-1], bounds_list[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                fut.result()
+            list(pool.map(work, [starts[i::workers] for i in range(workers)]))
 
     def rate(flags: np.ndarray) -> tuple[float, float]:
         p = float(np.count_nonzero(flags)) / reps
@@ -398,8 +390,7 @@ def make_spoiler(space: Subspace, eps2: float, eps_inf: float, margin: float) ->
     construction (``margin == 1`` lands exactly on the two-norm cap).
     Requires ``eps_inf < h_max``; the projection of the returned vector is 0.
     """
-    if not isinstance(space, Subspace):
-        raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
+    _instance("space", space, Subspace)
     eps2, eps_inf = _positive("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     margin = _number("margin", margin)
     if not 0.0 < margin <= 1.0:

@@ -50,11 +50,13 @@ or a ``str``); ``_finite``, ``_positive``, ``_nonnegative`` and
 positive finite noise level whose square does not underflow to 0;
 ``_finite_array`` makes a rectangular array of kind ``i``, ``u`` or ``f``
 with finite entries a float64 array and refuses booleans, strings and
-objects.  Integers follow one of two rules.  ``_count(name, v, minimum)``
-takes a Python ``int`` only: replication keys, block counts, ``reps``,
-``seed`` and ``threads``, whose sums are checked against 2**64, where a
-numpy integer would wrap.  ``_size(name, v, minimum)`` also takes numpy
-integers: grid sizes, dimensions and degrees of freedom.
+objects; ``_instance(name, v, cls)`` checks the type of a structured
+argument such as a subspace, a scale or band parameters.  Integers follow
+one of two rules.  ``_count(name, v, minimum)`` takes a Python ``int`` only:
+replication keys, block counts, ``reps``, ``seed`` and ``threads``, whose
+sums are checked against 2**64, where a numpy integer would wrap.
+``_size(name, v, minimum)`` also takes numpy integers: grid sizes,
+dimensions and degrees of freedom.
 """
 
 from __future__ import annotations
@@ -204,6 +206,16 @@ def _size(name: str, value, minimum: int) -> int:
     if not (type(value) is int or isinstance(value, np.integer)) or value < minimum:
         raise DomainError(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
+
+
+def _instance(name: str, value, cls: type):
+    """``value`` itself, if it is an instance of ``cls``: the structured
+    arguments (a subspace, a scale, a tuning, band parameters, a scenario)
+    and the other non-numeric ones, which would otherwise fail later with an
+    ``AttributeError`` or a ``TypeError``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _finite_array(name: str, value) -> np.ndarray:

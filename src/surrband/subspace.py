@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .specfun import _finite_array, _nonnegative, _size
+from .specfun import _finite_array, _instance, _nonnegative, _size
 
 __all__ = [
     "DesignGrid",
@@ -313,11 +313,11 @@ class NestedScale:
     levels: tuple[Subspace, ...]
 
     def __post_init__(self):
-        levels = tuple(self.levels)
+        levels = tuple(_instance("levels", self.levels, Sequence))
         if len(levels) < 1:
             raise DomainError("a nested scale needs at least one level")
-        if not all(isinstance(s, Subspace) for s in levels):
-            raise DomainError("levels must be Subspace instances")
+        for space in levels:
+            _instance("levels entries", space, Subspace)
         n = levels[0].n
         if any(s.n != n for s in levels):
             raise DomainError("all levels must share the same grid size")
@@ -361,7 +361,8 @@ def min_two_norm_given_inf(space: Subspace, eps_inf: float) -> float:
     Equals ``eps_inf / (sqrt(n) * omega)``; the minimizer is the member whose
     coordinate profile peaks at the maximum-leverage grid point.
     """
-    return _nonnegative("eps_inf", eps_inf) / (math.sqrt(space.n) * space.omega)
+    n = _instance("space", space, Subspace).n
+    return _nonnegative("eps_inf", eps_inf) / (math.sqrt(n) * space.omega)
 
 
 def max_inf_norm_given_two(space: Subspace, eps2: float) -> float:
@@ -370,4 +371,4 @@ def max_inf_norm_given_two(space: Subspace, eps2: float) -> float:
     Equals ``eps2 * sqrt(n) * omega`` — the companion extremal identity to
     :func:`min_two_norm_given_inf`.
     """
-    return _nonnegative("eps2", eps2) * math.sqrt(space.n) * space.omega
+    return _nonnegative("eps2", eps2) * math.sqrt(_instance("space", space, Subspace).n) * space.omega

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import v2_term, w_target
 from .errors import DomainError
-from .specfun import _nonnegative, _positive, _probability, _sigma, econst
+from .specfun import _instance, _nonnegative, _positive, _probability, _sigma, econst
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 
 __all__ = [
@@ -96,7 +96,7 @@ def surrogate_target(space: Subspace, f, eps2: float, eps_inf: float) -> np.ndar
     tie chooses ``f``.
     """
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
-    f = _as_vector(f, space.n)
+    f = _as_vector(f, _instance("space", space, Subspace).n)
     proj = space._project(f)
     resid = f - proj
     if norm2(resid) <= eps2 and sup_norm(resid) > eps_inf:
@@ -105,11 +105,8 @@ def surrogate_target(space: Subspace, f, eps2: float, eps_inf: float) -> np.ndar
 
 
 def _check_scale_tuning(scale: NestedScale, tuning: SurrogateTuning) -> None:
-    if not isinstance(scale, NestedScale):
-        raise DomainError(f"scale must be a NestedScale, got {type(scale).__name__}")
-    if not isinstance(tuning, SurrogateTuning):
-        raise DomainError(f"tuning must be a SurrogateTuning, got {type(tuning).__name__}")
-    if tuning.m != scale.m:
+    _instance("scale", scale, NestedScale)
+    if _instance("tuning", tuning, SurrogateTuning).m != scale.m:
         raise DomainError(
             f"tuning has {tuning.m} levels but the scale has {scale.m}"
         )
@@ -176,8 +173,7 @@ def optimal_tuning(
     cap is 0.  This is :func:`nested_tuning` on the one-level scale of
     ``space``, whose equal split gives the level the budget ``alpha / 2``.
     """
-    if not isinstance(space, Subspace):
-        raise DomainError(f"space must be a Subspace, got {type(space).__name__}")
+    _instance("space", space, Subspace)
     return nested_tuning(NestedScale((space,)), alpha, gamma, sigma, achievable=achievable)
 
 
@@ -200,9 +196,7 @@ def nested_tuning(
     at the global levels.  Every sup-norm cap is the level's benchmark width
     at the *global* ``alpha``.
     """
-    if not isinstance(scale, NestedScale):
-        raise DomainError(f"scale must be a NestedScale, got {type(scale).__name__}")
-    m = scale.m
+    m = _instance("scale", scale, NestedScale).m
     n = scale.n
     sigma = _sigma("sigma", sigma)
     if alphas is None:

@@ -12,6 +12,7 @@ import copy
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -306,9 +307,26 @@ class TestGammaFeasible:
         with pytest.raises(DomainError, match="outside the range of scipy.special"):
             chi2_quantile(1.0 / 30.0, 60, 64 * 1e10)
         assert bands._feasible_rhs(64, 4, 1e5, 1.0 / 30.0, 1.0) == 0.0
-        # A noncentrality that overflows is still an input error.
-        with pytest.raises(DomainError, match="ncp"):
+        # A noncentrality that overflows is still an input error, named by
+        # the arguments it overflows at.
+        with pytest.raises(DomainError, match=re.escape("eps2=1e+200, sigma=1.0")):
             bands._feasible_rhs(64, 4, 1e200, 0.05, 1.0)
+
+    @pytest.mark.parametrize("c", [1e154, 1e200])
+    def test_overflowing_noncentrality_names_eps2_and_sigma(self, c):
+        # The sigma = 1 tuning scaled by c: eps2^2 overflows at 1e154, and
+        # sigma^2 too at 1e200 (inf / inf is nan).
+        scale = dyadic_scale(256, [1, 4, 16])
+        tuning = nested_tuning(scale, 0.1, 0.1)
+        scaled = SurrogateTuning(
+            eps2=tuple(c * e for e in tuning.eps2), eps_inf=tuple(c * e for e in tuning.eps_inf)
+        )
+        params = BandParams.equal_split(0.1, 0.1, c, scaled)
+        message = r"n \* eps2\^2 / sigma\^2 overflows at eps2=.*, sigma="
+        with pytest.raises(DomainError, match=message):
+            min_feasible_gamma(scale, params)
+        with pytest.raises(DomainError, match=message):
+            adaptive_band_nested(scale, np.zeros(256), params)
 
 
 class TestMinFeasibleGamma:
@@ -629,11 +647,17 @@ class TestBlockWalk:
         assert self._agree(scale, params, block).tolist() == [2, 1, 2, 2]
         assert math.isinf(bands._plan(scale, params).cutoffs[1])
 
-    @pytest.mark.parametrize("sigma", [1.0, 0.37, 0.83])
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 0.83, 1e-150, 1e150])
     def test_cutoff_hit_exactly(self, monkeypatch, sigma):
-        # The walk tests sums of squares against a cutoff scaled by sigma^2.
+        # The walk divides the sums of squares by sigma^2 as scan does, also
+        # where sigma^2 is tiny or huge.  Both caps scale with sigma, so the
+        # feasibility floor is that of sigma = 1.
         scale = dyadic_scale(32, [1, 4])
-        params = BandParams.equal_split(0.1, 0.2, sigma, nested_tuning(scale, 0.1, 0.2))
+        tuning = nested_tuning(scale, 0.1, 0.2)
+        tuning = SurrogateTuning(
+            eps2=tuple(sigma * e for e in tuning.eps2), eps_inf=tuple(sigma * e for e in tuning.eps_inf)
+        )
+        params = BandParams.equal_split(0.1, 0.2, sigma, tuning)
         block = sigma * np.random.default_rng(414).normal(size=(6, 32))
         t = [t_statistic(scale.levels[0], y, sigma) for y in block]
         cutoff = sorted(t)[2]  # the third smallest statistic is the cutoff itself
@@ -645,14 +669,6 @@ class TestBlockWalk:
         levels = self._agree(scale, params, block)
         assert [lv == 1 for lv in levels] == [ti <= cutoff for ti in t]
         assert sum(lv == 1 for lv in levels) == 3
-
-    @pytest.mark.parametrize("scale", [1.0, 0.1369, 10.89, 3e-5, 7e4, 2.0**-1060, 1e300])
-    def test_sum_of_squares_cutoff_is_exact(self, scale):
-        rng = np.random.default_rng(417)
-        for cutoff in [0.5, 1.0, 7.0, 1e300, *rng.uniform(1.0, 400.0, size=50)]:
-            s = bands._sum_of_squares_cutoff(cutoff, scale)
-            assert s / scale <= cutoff < math.nextafter(s, math.inf) / scale
-        assert bands._sum_of_squares_cutoff(math.inf, scale) == math.inf
 
     def test_one_row_block(self):
         scale, params = _nested_setup()

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from surrband import cli
 from surrband.cli import main
 
 
@@ -365,6 +366,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.8 <= payload["trueCoverage"] <= 1.0
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsysbinary):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        config = _write_config(tmp_path, _constants_config())
+        outputs = []
+        for _ in range(2):
+            assert main(["constants", "--config", config]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert len(built) == 1
+        assert outputs[0] == outputs[1] and outputs[0].startswith(b"{")
+        # build_parser itself still gives a new parser on every call.
+        assert real() is not real()
 
 
 class TestExitCodes:

@@ -164,15 +164,18 @@ class TestRunDeterminism:
             assert parallel == serial, threads
 
     def test_uneven_chunks_match_serial(self, monkeypatch):
-        # Worker counts are capped at the CPU count; pretend to have enough
-        # CPUs that 3 and 5 uneven chunks are really run.
+        # Worker counts are capped at the CPU count and the block count;
+        # pretend to have enough CPUs, and cut 22 blocks (the last one short),
+        # so that 3 and 5 workers with uneven shares of blocks are really run.
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * 32)
         s = _adaptive_scenario(reps=151)
         serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
         for threads in (3, 5):
             assert json.dumps(run(s, threads=threads).to_dict(), sort_keys=True) == serial
 
-    def test_widths_array_matches_threaded(self):
+    def test_widths_array_matches_threaded(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 8 * 32)  # 12 blocks
         s = _adaptive_scenario(reps=90)
         assert np.array_equal(run(s, threads=1).widths, run(s, threads=4).widths)
 
@@ -561,6 +564,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 4 * 32)  # 5 blocks
         s = _adaptive_scenario(reps=20)
         serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
         assert json.dumps(run(s, threads=64).to_dict(), sort_keys=True) == serial

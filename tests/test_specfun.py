@@ -22,16 +22,29 @@ from scipy import special, stats
 
 from surrband import bands, specfun
 from surrband import (
+    BandParams,
     DomainError,
+    NestedScale,
+    Scenario,
     acceptance_threshold,
+    adaptive_band_nested,
     birge_bounds,
     chi2_cdf,
     chi2_quantile,
     econst,
+    dyadic_scale,
     kappa,
+    level_widths,
+    max_inf_norm_given_two,
+    min_feasible_gamma,
+    min_two_norm_given_inf,
+    nested_tuning,
     normal_cdf,
     normal_quantile,
     qconst,
+    run,
+    surrogate_target,
+    t_statistic,
     tau,
     tau_inv,
     v2_term,
@@ -758,6 +771,48 @@ class TestArgumentChecks:
             call(16.0, 4)
         with pytest.raises(DomainError):
             call(16, True)
+
+
+# A scale, its first level and its band parameters, for the wrong-typed rows
+# below: each passes one of them where another is wanted.
+_SCALE = dyadic_scale(16, [1, 4])
+_SPACE = _SCALE.levels[0]
+_PARAMS = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(_SCALE, 0.1, 0.2))
+
+# (argument named in the message, call with that argument of a wrong type)
+_WRONG_TYPES = [
+    ("scale", lambda: adaptive_band_nested(_SPACE, np.zeros(16), _PARAMS)),
+    ("params", lambda: adaptive_band_nested(_SCALE, np.zeros(16), _PARAMS.tuning)),
+    ("scale", lambda: min_feasible_gamma(_SPACE, _PARAMS)),
+    ("params", lambda: level_widths(_SCALE, _PARAMS.tuning)),
+    ("space", lambda: t_statistic(_SCALE, np.zeros(16), 1.0)),
+    ("space", lambda: surrogate_target(_SCALE, np.zeros(16), 0.1, 0.1)),
+    ("space", lambda: min_two_norm_given_inf(_SCALE, 0.1)),
+    ("space", lambda: max_inf_norm_given_two(_SCALE, 0.1)),
+    ("tuning", lambda: BandParams.equal_split(0.1, 0.2, 1.0, (0.5, 0.5))),
+    ("scenario", lambda: run(_PARAMS)),
+    ("levels", lambda: NestedScale(5)),
+    ("kind", lambda: Scenario(kind=[1], truth=np.zeros(16), reps=10, seed=1)),
+]
+
+
+class TestStructuredArguments:
+    """A wrong-typed structured argument is a DomainError naming it, not an
+    AttributeError or a TypeError from deeper down."""
+
+    @pytest.mark.parametrize("name, call", _WRONG_TYPES, ids=[
+        "adaptive_band_nested-scale", "adaptive_band_nested-params", "min_feasible_gamma",
+        "level_widths", "t_statistic", "surrogate_target", "min_two_norm_given_inf",
+        "max_inf_norm_given_two", "equal_split", "run", "NestedScale", "Scenario",
+    ])
+    def test_rejected(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be a "):
+            call()
+
+    def test_instance(self):
+        assert specfun._instance("space", _SPACE, type(_SPACE)) is _SPACE
+        with pytest.raises(DomainError, match="^x must be a bool, got int$"):
+            specfun._instance("x", 1, bool)
 
 
 class TestEConst:

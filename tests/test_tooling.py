@@ -7,7 +7,8 @@ and a name that the package stops calling through silently reads 0.  These
 tests catch both here, check that a run draws and walks one block of
 replications per call, and catch a drift of the draw from the fingerprint
 ``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
-also keep the numeric argument checks in ``specfun``, their one home.
+also keep the numeric argument checks, and the type checks of structured
+arguments, in ``specfun``, their one home.
 """
 
 import ast
@@ -51,12 +52,13 @@ def test_every_wrapped_name_resolves():
 
 def test_run_draws_one_block_per_call(monkeypatch):
     # The traced run times the draw layer by wrapping simulate.gaussian_draw;
-    # run must call it by that module name, once per block of replications.
+    # run must call it by that module name, once per block of replications,
+    # and on the same blocks whatever the thread count.
     calls = []
     original = simulate.gaussian_draw
 
     def counting(seed, rep, n, count=None):
-        calls.append(count)
+        calls.append((rep, count))
         return original(seed, rep, n, count)
 
     monkeypatch.setattr(simulate, "gaussian_draw", counting)
@@ -65,10 +67,11 @@ def test_run_draws_one_block_per_call(monkeypatch):
     reps = 2 * rows + 5
     s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=reps, seed=1, alpha=0.1, sigma=1.0)
     simulate.run(s)
-    assert calls == [rows, rows, 5]
+    assert calls == [(0, rows), (rows, rows), (2 * rows, 5)]
+    serial = calls.copy()
     calls.clear()
-    simulate.run(s, threads=2)  # two chunks of rows + 2 and rows + 3
-    assert sorted(calls) == [2, 3, rows, rows]
+    simulate.run(s, threads=2)
+    assert sorted(calls) == serial
 
 
 def test_run_walks_one_block_per_call(monkeypatch):
@@ -91,8 +94,8 @@ def test_run_walks_one_block_per_call(monkeypatch):
     simulate.run(s)
     assert calls == [rows, rows, 5]
     calls.clear()
-    simulate.run(s, threads=2)  # two chunks of rows + 2 and rows + 3
-    assert sorted(calls) == [2, 3, rows, rows]
+    simulate.run(s, threads=2)  # the serial run's blocks
+    assert sorted(calls) == [5, rows, rows]
 
 
 RUN = TRACING.parent / "run.py"
@@ -120,12 +123,15 @@ def test_draw_matches_the_benchmark_fingerprint():
 PACKAGE = TRACING.parents[1] / "src" / "surrband"
 
 # Helpers that once checked arguments outside specfun's, and the messages of
-# specfun's range checks; neither may appear in another module.  cli.py is
+# specfun's range and type checks; neither may appear in another module.  cli.py is
 # exempt: its key tables check JSON types and name config paths.
 _DELETED_CHECKS = (
     "_is_int", "_check_finite", "_validate_chi2_args", "_check_pos", "_check_nonneg", "_check_count",
 )
-_CHECK_STEMS = ("must lie in (0, 1)", "must be positive", "must be nonnegative", "must be finite")
+_CHECK_STEMS = (
+    "must lie in (0, 1)", "must be positive", "must be nonnegative", "must be finite",
+    "must be a Subspace", "must be a NestedScale", "must be a SurrogateTuning", "must be a BandParams",
+)
 
 
 def test_argument_checks_live_in_specfun():
