@@ -205,7 +205,7 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     eps2, sigma = _nonnegative("eps2", eps2), _sigma("sigma", sigma)
     prob = _probability("probability budget", prob)
     ncp = n * eps2 * eps2 / (sigma * sigma)
-    if not math.isfinite(ncp):  # eps2^2 overflows, and past that sigma^2 too
+    if not math.isfinite(ncp):  # eps2^2 overflows (_sigma keeps sigma^2 finite)
         raise DomainError(
             f"the residual noncentrality n * eps2^2 / sigma^2 overflows at "
             f"eps2={eps2!r}, sigma={sigma!r}"

@@ -14,13 +14,21 @@ only the replication index rewritten.
 
 Replications are cut into blocks on one grid for every thread count.  The
 noise of a block is drawn in one call, and one band step per block gives
-each row a centre and a half-width: the Bonferroni band around the block,
-the projection of the block for a subspace run, or the block walk of the
-private band plan of :mod:`surrband.bands` for an adaptive run.  The
-surrogate candidates (outside the adaptive procedure, the truth alone) are
-then checked against the bands of the whole block in one comparison.  There
-is no per-replication Python loop, and each row has the same bits as a
-single draw and a single band call.
+each row a centre and a half-width: the projection of the block for a
+subspace run, or the block walk of the private band plan of
+:mod:`surrband.bands` for an adaptive run.  The surrogate candidates
+(outside the adaptive procedure, the truth alone) are then checked against
+the bands of the whole block in one comparison.  There is no
+per-replication Python loop, and each row has the same bits as a single
+draw and a single band call.
+
+A Bonferroni report depends on the noise only through one yes/no per
+coordinate, so a Bonferroni block draws its uniforms but not its normals.
+The quantile's first stage gives each uniform a tested bracket that holds
+its v1 value, and the band's two comparisons at both ends of the bracket
+decide almost every coordinate; only a row left open gets its exact values
+(see :func:`_bonferroni_covered`).  The draw stream is unchanged, and the
+report has the bytes of the full draw.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -53,6 +61,7 @@ from .bands import (  # noqa: F401
 )
 from .errors import DomainError
 from .specfun import (
+    _cells,
     _count,
     _finite,
     _instance,
@@ -91,8 +100,8 @@ class Scenario:
     ``params``), ``"bonferroni"`` (requires ``alpha`` and ``sigma``), or
     ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``, and reads the
     bool ``per_coordinate``); ``alpha`` must be a number in (0, 1) and
-    ``sigma`` a finite positive number whose square is above 0, checked here
-    rather than at the first replication.  A field that the kind does not read must be left at
+    ``sigma`` a positive number whose square is finite and above 0, checked
+    here rather than at the first replication.  A field that the kind does not read must be left at
     ``None`` or ``False``.  ``truth`` is the mean vector; noise is
     ``N(0, sigma^2)`` per coordinate.
     """
@@ -224,6 +233,13 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
     integer is no int here); anything else raises
     :class:`~surrband.errors.DomainError`.
     """
+    u = _uniforms(seed, rep, n, count)
+    return normal_quantile(u if count is not None else u[0])
+
+
+def _uniforms(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
+    """The ``(count or 1, n)`` uniforms that :func:`gaussian_draw` maps to
+    normals, with its argument checks."""
     _count("seed", seed, 0)
     _count("n", n, 1)
     if count is not None:
@@ -252,8 +268,31 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
         bitgen.state = state
         row[:] = bitgen.random_raw(n)
     _IDLE_PHILOX.append((bitgen, state))
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return normal_quantile(u if count is not None else u[0])
+    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+
+
+def _bonferroni_covered(f: np.ndarray, sigma: float, half: float, u: np.ndarray) -> np.ndarray:
+    """Whether each row ``y = f + sigma * normal_quantile(u)`` of a block lies
+    within ``half`` of ``f`` at every coordinate, as the band's test finds it.
+
+    The value of each ``u`` lies in the bracket ``[lo, hi]`` of the
+    quantile's first stage (:func:`~surrband.specfun._cells`).  With ``sigma
+    > 0`` and monotone rounding, ``y`` grows with the value, so ``y - half <=
+    f`` can only turn false and ``f <= y + half`` only true.  Both tests at
+    the ends of the bracket so decide each coordinate as surely covered,
+    surely not, or open.  Only a row with an open coordinate and no surely
+    uncovered one gets its exact values, which ``normal_quantile``, being
+    elementwise, gives with the bits of the block draw.
+    """
+    lo, hi, _ = _cells(u.reshape(-1))
+    lo = f + sigma * lo.reshape(u.shape)
+    hi = f + sigma * hi.reshape(u.shape)
+    covered = ((hi - half <= f) & (f <= lo + half)).all(axis=1)
+    rows = (((lo - half <= f) & (f <= hi + half)).all(axis=1) & ~covered).nonzero()[0]
+    if rows.size:
+        y = f + sigma * normal_quantile(u[rows])
+        covered[rows] = ((y - half <= f) & (f <= y + half)).all(axis=1)
+    return covered
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -266,7 +305,11 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
 
     Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
     starting at the multiples of that size whatever the thread count; each
-    block is one noise draw, one band step and one coverage comparison.
+    block is one noise draw, one band step and one coverage comparison.  A
+    Bonferroni block draws only the uniforms and decides each coordinate from
+    the bracket of the quantile's first stage, computing exact normals only
+    for a row that the bracket leaves open; its report is byte-identical to
+    that of the full draw.
     ``threads > 1`` hands whole blocks to a thread pool of at most
     ``os.cpu_count()`` workers and no more workers than blocks; results are
     byte-identical to the serial run.  Adaptive scenarios are checked for
@@ -309,10 +352,16 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     def work(starts: range) -> None:
         for start in starts:
             stop = min(start + rows, reps)
+            if scenario.kind == "bonferroni":
+                # The truth is the one candidate, so both coverages are its own.
+                u = _uniforms(seed, start, n, stop - start)
+                cover_true[start:stop] = cover_surr[start:stop] = _bonferroni_covered(f, sigma, fixed_half, u)
+                widths[start:stop] = width
+                continue
             block = f + sigma * gaussian_draw(seed, start, n, stop - start)
             if plan is None:
-                # bonferroni_band's and subspace_band's arithmetic, row by row.
-                center = block if space is None else space._project_rows(block)
+                # subspace_band's arithmetic, row by row.
+                center = space._project_rows(block)
                 half = fixed_half
                 widths[start:stop] = width
             else:

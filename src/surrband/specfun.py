@@ -47,7 +47,7 @@ other module validates through its private helpers.  Each takes
 number (``int``, ``float`` or a numpy integer or float, but never a ``bool``
 or a ``str``); ``_finite``, ``_positive``, ``_nonnegative`` and
 ``_probability`` (the open interval (0, 1)) add a range; ``_sigma`` is a
-positive finite noise level whose square does not underflow to 0;
+positive noise level whose square neither underflows to 0 nor overflows;
 ``_finite_array`` makes a rectangular array of kind ``i``, ``u`` or ``f``
 with finite entries a float64 array and refuses booleans, strings and
 objects; ``_instance(name, v, cls)`` checks the type of a structured
@@ -178,14 +178,14 @@ def _probability(name: str, value) -> float:
 
 
 def _sigma(name: str, value) -> float:
-    """A noise level: finite, positive, and with a square above 0, since the
-    residual tests divide by ``sigma * sigma`` (it underflows below about
-    1.57e-162)."""
+    """A noise level: positive, with a square that is a finite double above 0,
+    since the residual tests divide by ``sigma * sigma`` (it underflows below
+    about 1.57e-162 and overflows from about 1.34e154)."""
     if type(value) is not float:
         value = _number(name, value)
-    if not (0.0 < value < math.inf and value * value > 0.0):
+    if not (value > 0.0 and 0.0 < value * value < math.inf):
         raise DomainError(
-            f"{name} must be positive and finite with a square above 0, got {value!r}"
+            f"{name} must be positive with a square that is finite and above 0, got {value!r}"
         )
     return value
 

@@ -204,27 +204,31 @@ _SIGMA_CUTOFF = 1.5717277847026288e-162
 _SIGMA_BELOW = 1.5717277847026285e-162
 
 
+# Every entry point of a noise level.
+_SIGMA_ENTRIES = [
+    lambda s: BandParams.equal_split(0.1, 0.1, s, _TUNING),
+    lambda s: BandParams(alpha=0.1, gamma=0.1, sigma=s, tuning=_TUNING, alpha_split=(0.03,) * 3),
+    lambda s: t_statistic(_SPACE, np.zeros(16), s),
+    lambda s: bonferroni_band(np.zeros(16), 0.1, s),
+    lambda s: subspace_band(_SPACE, np.zeros(16), 0.1, s),
+    lambda s: Scenario(kind="bonferroni", truth=np.zeros(16), reps=1, seed=1, alpha=0.1, sigma=s),
+    lambda s: Scenario(kind="subspace", truth=np.zeros(16), reps=1, seed=1, space=_SPACE,
+                       alpha=0.1, sigma=s),
+    lambda s: bands._feasible_rhs(16, 4, 0.5, 0.03, s),
+    lambda s: w_target(0.5, 0.1, 0.1, s),
+    lambda s: surrogate_lower_bound(_SPACE, 0.5, 0.3, 0.1, 0.1, s),
+    lambda s: rn_lower_bound(64, 0.1, 0.2, s),
+    lambda s: lipschitz_rate(64, 1.0, s, 0.1, 0.2),
+    lambda s: optimal_tuning(_SPACE, 0.1, 0.1, s),
+    lambda s: nested_tuning(_SCALE, 0.1, 0.1, s),
+]
+
+
 class TestSigmaSquareUnderflow:
     """A sigma whose square underflows to 0 is refused where it enters, not
     met later by a division by ``sigma * sigma``."""
 
-    @pytest.mark.parametrize("call", [
-        lambda s: BandParams.equal_split(0.1, 0.1, s, _TUNING),
-        lambda s: BandParams(alpha=0.1, gamma=0.1, sigma=s, tuning=_TUNING, alpha_split=(0.03,) * 3),
-        lambda s: t_statistic(_SPACE, np.zeros(16), s),
-        lambda s: bonferroni_band(np.zeros(16), 0.1, s),
-        lambda s: subspace_band(_SPACE, np.zeros(16), 0.1, s),
-        lambda s: Scenario(kind="bonferroni", truth=np.zeros(16), reps=1, seed=1, alpha=0.1, sigma=s),
-        lambda s: Scenario(kind="subspace", truth=np.zeros(16), reps=1, seed=1, space=_SPACE,
-                           alpha=0.1, sigma=s),
-        lambda s: bands._feasible_rhs(16, 4, 0.5, 0.03, s),
-        lambda s: w_target(0.5, 0.1, 0.1, s),
-        lambda s: surrogate_lower_bound(_SPACE, 0.5, 0.3, 0.1, 0.1, s),
-        lambda s: rn_lower_bound(64, 0.1, 0.2, s),
-        lambda s: lipschitz_rate(64, 1.0, s, 0.1, 0.2),
-        lambda s: optimal_tuning(_SPACE, 0.1, 0.1, s),
-        lambda s: nested_tuning(_SCALE, 0.1, 0.1, s),
-    ])
+    @pytest.mark.parametrize("call", _SIGMA_ENTRIES)
     @pytest.mark.parametrize("sigma", [1e-200, _SIGMA_BELOW])
     def test_rejected(self, call, sigma):
         with pytest.raises(DomainError, match="sigma"):
@@ -234,6 +238,30 @@ class TestSigmaSquareUnderflow:
         y = np.arange(16.0)
         assert t_statistic(_SPACE, y, _SIGMA_CUTOFF) == math.inf
         assert BandParams.equal_split(0.1, 0.1, _SIGMA_CUTOFF, _TUNING).sigma == _SIGMA_CUTOFF
+
+
+# The largest double whose square is finite, and the double above it.
+_SIGMA_MAX = 1.3407807929942596e154
+_SIGMA_ABOVE = 1.3407807929942597e154
+
+
+class TestSigmaSquareOverflow:
+    """A sigma whose square overflows to inf is refused where it enters, not
+    met later by a division by ``sigma * sigma`` that gives NaN."""
+
+    @pytest.mark.parametrize("call", _SIGMA_ENTRIES)
+    @pytest.mark.parametrize("sigma", [_SIGMA_ABOVE, 1e160])
+    def test_rejected(self, call, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            call(sigma)
+
+    def test_the_largest_accepted_sigma_divides(self):
+        space = dyadic_blocks(4, 2)
+        c = 0.5 * _SIGMA_MAX
+        assert t_statistic(space, [c, -c, 0.0, 0.0], _SIGMA_MAX) == 0.5
+        assert BandParams.equal_split(0.1, 0.1, _SIGMA_MAX, _TUNING).sigma == _SIGMA_MAX
+        s = Scenario(kind="bonferroni", truth=np.zeros(4), reps=1, seed=1, alpha=0.1, sigma=_SIGMA_MAX)
+        assert s.sigma == _SIGMA_MAX
 
 
 class TestVectorsAreNotCoerced:
@@ -314,13 +342,17 @@ class TestGammaFeasible:
 
     @pytest.mark.parametrize("c", [1e154, 1e200])
     def test_overflowing_noncentrality_names_eps2_and_sigma(self, c):
-        # The sigma = 1 tuning scaled by c: eps2^2 overflows at 1e154, and
-        # sigma^2 too at 1e200 (inf / inf is nan).
+        # The sigma = 1 tuning scaled by c: eps2^2 overflows at 1e154.  At
+        # 1e200 sigma^2 overflows too, so sigma is refused where it enters.
         scale = dyadic_scale(256, [1, 4, 16])
         tuning = nested_tuning(scale, 0.1, 0.1)
         scaled = SurrogateTuning(
             eps2=tuple(c * e for e in tuning.eps2), eps_inf=tuple(c * e for e in tuning.eps_inf)
         )
+        if c * c == math.inf:
+            with pytest.raises(DomainError, match="sigma must be positive with a square"):
+                BandParams.equal_split(0.1, 0.1, c, scaled)
+            return
         params = BandParams.equal_split(0.1, 0.1, c, scaled)
         message = r"n \* eps2\^2 / sigma\^2 overflows at eps2=.*, sigma="
         with pytest.raises(DomainError, match=message):

@@ -141,6 +141,8 @@ _REJECTED = [
     # 1e400 parses to inf
     (json.dumps(_constants_config(sigma=0)).replace('"sigma": 0', '"sigma": 1e400').encode(),
      "constants", 2, "sigma"),
+    # a sigma whose square overflows
+    ({"procedure": "bonferroni", "sigma": 1.3407807929942597e154}, "simulate", 2, "sigma"),
 ]
 
 

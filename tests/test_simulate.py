@@ -231,6 +231,33 @@ class TestBlocks:
         covered = sum(bool(np.all((b.lower <= s.truth) & (s.truth <= b.upper))) for b in bands)
         assert report.true_coverage == covered / s.reps
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("truth", ["zero", "sine"])
+    def test_bonferroni_undecided_coordinates_take_the_exact_draw(self, monkeypatch, n, truth):
+        # A Bonferroni block decides coverage from the quantile's first-stage
+        # bracket, which real draws almost never leave undecided.  A bracket
+        # widened by 1/2 each way still holds the v1 value but leaves many
+        # rows to the exact draw.
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        f = np.zeros(n) if truth == "zero" else np.sin(6.0 * np.arange(1, n + 1) / n)
+        s = Scenario(kind="bonferroni", truth=f, reps=300, seed=n, alpha=0.05, sigma=0.5)
+        want = [_dumps(run(s, width_threshold=1.0, threads=threads)) for threads in (1, 2)]
+        cells, quantile, exact = simulate._cells, simulate.normal_quantile, []
+
+        def widened(u):
+            lo, hi, steps = cells(u)
+            return lo - 0.5, hi + 0.5, steps
+
+        def counting(u):
+            exact.append(u.size)
+            return quantile(u)
+
+        monkeypatch.setattr(simulate, "_cells", widened)
+        monkeypatch.setattr(simulate, "normal_quantile", counting)
+        got = [_dumps(run(s, width_threshold=1.0, threads=threads)) for threads in (1, 2)]
+        assert got == want
+        assert sum(exact) > 0
+
 
 def _digest(report) -> str:
     return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()

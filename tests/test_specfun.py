@@ -192,6 +192,21 @@ def philox_uniforms(key, n):
     return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
 
 
+def edge_grids():
+    """Uniforms at the ends of the generator's range, around 1/2 and along
+    both tails."""
+    k = np.arange(2**12, dtype=np.float64)
+    return [
+        2.0**-54 + k * 2.0**-62,                       # just above the smallest uniform
+        2.0**-54 * (1.0 + k),
+        0.5 + (k - 2**11) * 2.0**-60,                  # around 1/2, finer than its grid
+        0.5 + (k - 2**11) * 2.0**-53,                  # around 1/2, on the uniform grid
+        1.0 - 2.0**-54 - k * 2.0**-53,                 # just below the largest uniform
+        np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),   # lower tail
+        1.0 - np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),  # upper tail
+    ]
+
+
 class TestNormalQuantileMatchesBisection:
     """The shortcut in ``normal_quantile`` must not change a single bit."""
 
@@ -233,17 +248,7 @@ class TestNormalQuantileMatchesBisection:
         assert sum(seen) <= 10 * values
 
     def test_edge_grids(self):
-        k = np.arange(2**12, dtype=np.float64)
-        grids = [
-            2.0**-54 + k * 2.0**-62,                       # just above the smallest uniform
-            2.0**-54 * (1.0 + k),
-            0.5 + (k - 2**11) * 2.0**-60,                  # around 1/2, finer than its grid
-            0.5 + (k - 2**11) * 2.0**-53,                  # around 1/2, on the uniform grid
-            1.0 - 2.0**-54 - k * 2.0**-53,                 # just below the largest uniform
-            np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),   # lower tail
-            1.0 - np.logspace(np.log10(2.0**-54), np.log10(0.5), 2**13),  # upper tail
-        ]
-        for u in grids:
+        for u in edge_grids():
             assert_bits_equal(normal_quantile(u), bisection_quantile(u))
 
     def test_outside_the_bracket_falls_back(self):
@@ -297,6 +302,20 @@ class TestNormalQuantileMatchesBisection:
         u = philox_uniforms((1, 2), 12).reshape(3, 4)
         assert_bits_equal(normal_quantile(u), bisection_quantile(u))
         assert normal_quantile(np.empty(0)).shape == (0,)
+
+
+class TestFirstStageBracket:
+    """A Bonferroni run decides coverage from the bracket ``[lo, hi]`` of the
+    quantile's first stage, ``_cells``, and draws exact values only where it
+    cannot: the bracket must hold the value ``normal_quantile`` returns."""
+
+    def test_bracket_holds_the_value(self):
+        grids = [philox_uniforms((20261019, rep), 2**16) for rep in range(4)]
+        grids += [np.array([2.0**-54, 1.0 - 2.0**-54])] + edge_grids()
+        for u in grids:
+            lo, hi, _ = specfun._cells(u)
+            q = normal_quantile(u)
+            assert np.all(lo <= q) and np.all(q <= hi)
 
 
 def _longest_reversal(x, width):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from surrband import BandParams, Scenario, bands, dyadic_scale, nested_tuning, simulate
+from surrband import BandParams, Scenario, bands, dyadic_blocks, dyadic_scale, nested_tuning, simulate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,28 +50,45 @@ def test_every_wrapped_name_resolves():
     assert not missing, missing
 
 
-def test_run_draws_one_block_per_call(monkeypatch):
-    # The traced run times the draw layer by wrapping simulate.gaussian_draw;
-    # run must call it by that module name, once per block of replications,
-    # and on the same blocks whatever the thread count.
+def _draw_calls(monkeypatch, name, scenario):
+    """The ``(rep, count)`` of each call ``run`` makes to ``simulate.<name>``,
+    at ``threads`` 1 and then 2."""
     calls = []
-    original = simulate.gaussian_draw
+    original = getattr(simulate, name)
 
     def counting(seed, rep, n, count=None):
         calls.append((rep, count))
         return original(seed, rep, n, count)
 
-    monkeypatch.setattr(simulate, "gaussian_draw", counting)
+    monkeypatch.setattr(simulate, name, counting)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    rows = simulate._BLOCK_VALUES // 64
-    reps = 2 * rows + 5
-    s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=reps, seed=1, alpha=0.1, sigma=1.0)
-    simulate.run(s)
-    assert calls == [(0, rows), (rows, rows), (2 * rows, 5)]
+    simulate.run(scenario)
     serial = calls.copy()
     calls.clear()
-    simulate.run(s, threads=2)
-    assert sorted(calls) == serial
+    simulate.run(scenario, threads=2)
+    return serial, sorted(calls)
+
+
+def test_run_draws_one_block_per_call(monkeypatch):
+    # The traced run times the draw layer by wrapping simulate.gaussian_draw;
+    # adaptive and subspace runs must call it by that module name, once per
+    # block of replications, and on the same blocks whatever the thread count.
+    rows = simulate._BLOCK_VALUES // 64
+    s = Scenario(kind="subspace", truth=np.zeros(64), reps=2 * rows + 5, seed=1,
+                 space=dyadic_blocks(64, 4), alpha=0.1, sigma=1.0)
+    serial, threaded = _draw_calls(monkeypatch, "gaussian_draw", s)
+    assert serial == [(0, rows), (rows, rows), (2 * rows, 5)]
+    assert threaded == serial
+
+
+def test_bonferroni_run_makes_one_uniform_block_per_call(monkeypatch):
+    # A Bonferroni run takes its uniforms, not its normals, one block at a
+    # time, on the block grid of every other run.
+    rows = simulate._BLOCK_VALUES // 64
+    s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=2 * rows + 5, seed=1, alpha=0.1, sigma=1.0)
+    serial, threaded = _draw_calls(monkeypatch, "_uniforms", s)
+    assert serial == [(0, rows), (rows, rows), (2 * rows, 5)]
+    assert threaded == serial
 
 
 def test_run_walks_one_block_per_call(monkeypatch):
