@@ -54,6 +54,8 @@ def v2_term(n: int, d: int, alpha: float, gamma: float) -> float:
     ``(n-d)^(1/4) n^(-1/2) (2 log(1 + 4 delta^2))^(1/4)`` at
     ``delta = 1 - 2*alpha - gamma``: below it, departures from a
     ``d``-dimensional subspace cannot be tested with advantage ``delta``.
+    It is the radius at noise level 1; at noise level ``sigma`` it is
+    ``sigma`` times this.
     """
     n, d = _size("n", n, 1), _size("d", d, 0)
     if d > n:
@@ -100,7 +102,11 @@ def surrogate_lower_bound(
     """Width lower bound for surrogate bands over ``space`` at the given tuning.
 
     Requires ``d < n`` (with ``d == n`` there is no residual direction and no
-    obstruction).  See :class:`LowerBoundReport` for the decomposition.
+    obstruction).  See :class:`LowerBoundReport` for the decomposition.  The
+    detection radius ``v2`` is ``sigma * v2_term(n, d, alpha, gamma)``, so
+    every term, like the caps of :func:`~surrband.surrogate.nested_tuning`,
+    is in the units of the data: scaling ``eps2``, ``eps_inf`` and ``sigma``
+    by ``c`` scales the report by ``c``.
     """
     n, d = _instance("space", space, Subspace).n, space.d
     if d >= n:
@@ -109,7 +115,7 @@ def surrogate_lower_bound(
     sigma = _sigma("sigma", sigma)
     wf = w_target(space.omega, alpha, gamma, sigma)
     v0 = min(math.sqrt(n) * eps2, eps_inf, sigma * tau_inv(1.0 - 2.0 * alpha - gamma))
-    v2 = v2_term(n, d, alpha, gamma)
+    v2 = sigma * v2_term(n, d, alpha, gamma)
     v1 = 0.0 if eps2 >= 2.0 * v2 else v2
     return LowerBoundReport(
         w_target=wf, v0=v0, v1=v1, v2=v2, lower_width=max(wf, v0, v1)

@@ -23,12 +23,15 @@ per-replication Python loop, and each row has the same bits as a single
 draw and a single band call.
 
 A Bonferroni report depends on the noise only through one yes/no per
-coordinate, so a Bonferroni block draws its uniforms but not its normals.
-The quantile's first stage gives each uniform a tested bracket that holds
-its v1 value, and the band's two comparisons at both ends of the bracket
-decide almost every coordinate; only a row left open gets its exact values
-(see :func:`_bonferroni_covered`).  The draw stream is unchanged, and the
-report has the bytes of the full draw.
+coordinate, and that answer is a window of the Philox words.  The v1
+quantile, a bisection, never decreases as its uniform grows, nor does the
+uniform as its word grows, and with ``sigma > 0`` monotone IEEE rounding
+carries that order through the noisy value and the band's two comparisons.
+So the words whose draw the band covers at a coordinate form one interval
+``[lo, hi]``, found once per run for each distinct truth value (see
+:func:`_bonferroni_window`).  A Bonferroni block so keys Philox and compares
+integers; it maps no uniform through the quantile.  The draw stream is
+unchanged, and the report has the bytes of the full draw.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -44,6 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 # adaptive_band_nested and min_feasible_gamma are what the band plan does per
 # replication and once per run, and bonferroni_band and subspace_band what a
@@ -61,7 +65,6 @@ from .bands import (  # noqa: F401
 )
 from .errors import DomainError
 from .specfun import (
-    _cells,
     _count,
     _finite,
     _instance,
@@ -215,13 +218,21 @@ _IDLE_PHILOX: list = []
 # its work arrays stay in cache.  The same for every thread count.
 _BLOCK_VALUES = 2**12
 
+# The number of 53-bit words behind the uniforms of a draw, and how many
+# words on each side of a guessed end of a Bonferroni window are tested
+# before a bisection over all of them: with an O(1) truth, nearly every
+# miss of the guess is by one or two words.
+_WORDS = 2**53
+_NEAR = 2
+
 
 def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.ndarray:
     """The ``n`` standard normal deviates of replication ``rep``.
 
     Philox keyed by ``(seed mod 2^64, rep)`` produces raw 64-bit words; the
-    top 53 bits give uniforms offset into the open interval, which are mapped
-    through :func:`~surrband.specfun.normal_quantile`.  Pure function of its
+    top 53 bits ``k`` give the uniforms ``k * 2^-53 + 2^-54`` (see
+    :func:`_uniform`), which are mapped through
+    :func:`~surrband.specfun.normal_quantile`.  Pure function of its
     arguments — the foundation of run-order-independent reproducibility.
 
     With an int ``count`` the result is a ``(count, n)`` block whose row ``i``
@@ -233,13 +244,13 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
     integer is no int here); anything else raises
     :class:`~surrband.errors.DomainError`.
     """
-    u = _uniforms(seed, rep, n, count)
-    return normal_quantile(u if count is not None else u[0])
+    k = _words(seed, rep, n, count)
+    return normal_quantile(_uniform(k if count is not None else k[0]))
 
 
-def _uniforms(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
-    """The ``(count or 1, n)`` uniforms that :func:`gaussian_draw` maps to
-    normals, with its argument checks."""
+def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
+    """The ``(count or 1, n)`` 53-bit words, as int64, that :func:`_uniform`
+    maps to the uniforms of :func:`gaussian_draw`, with its argument checks."""
     _count("seed", seed, 0)
     _count("n", n, 1)
     if count is not None:
@@ -268,31 +279,75 @@ def _uniforms(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
         bitgen.state = state
         row[:] = bitgen.random_raw(n)
     _IDLE_PHILOX.append((bitgen, state))
-    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    raw >>= np.uint64(11)
+    return raw.view(np.int64)
 
 
-def _bonferroni_covered(f: np.ndarray, sigma: float, half: float, u: np.ndarray) -> np.ndarray:
-    """Whether each row ``y = f + sigma * normal_quantile(u)`` of a block lies
-    within ``half`` of ``f`` at every coordinate, as the band's test finds it.
+def _uniform(k: np.ndarray) -> np.ndarray:
+    """The uniforms ``k * 2^-53 + 2^-54`` of the words ``k``, nondecreasing in
+    ``k``.  Below 1/2 they are exact; above it the sum rounds to even, so
+    two words share each uniform, and that of the last word is 1."""
+    return k * 2.0**-53 + 2.0**-54
 
-    The value of each ``u`` lies in the bracket ``[lo, hi]`` of the
-    quantile's first stage (:func:`~surrband.specfun._cells`).  With ``sigma
-    > 0`` and monotone rounding, ``y`` grows with the value, so ``y - half <=
-    f`` can only turn false and ``f <= y + half`` only true.  Both tests at
-    the ends of the bracket so decide each coordinate as surely covered,
-    surely not, or open.  Only a row with an open coordinate and no surely
-    uncovered one gets its exact values, which ``normal_quantile``, being
-    elementwise, gives with the bits of the block draw.
+
+def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """The words ``[lo, hi]`` of each coordinate whose draw the Bonferroni
+    band of half-width ``half`` covers.
+
+    With ``y = f + sigma * normal_quantile(_uniform(k))``, coordinate ``i`` is
+    covered by the band's test ``y - half <= f <= y + half`` exactly for the
+    words ``lo[i] <= k <= hi[i]`` (none where ``lo[i] > hi[i]``).  That the
+    set is one interval rests on monotonicity: the 64-step bisection of
+    ``normal_quantile`` is nondecreasing in ``u`` (two uniforms share a
+    bracket until the first step that splits them, after which the smaller
+    one's bracket lies below), ``_uniform`` is nondecreasing in ``k``, and
+    with ``sigma > 0`` so are ``y``, ``y - half`` and ``y + half``, since
+    IEEE rounding is monotone.  So ``f <= y + half`` can only turn true as
+    ``k`` grows, and ``y - half <= f`` only false.
+
+    Both switches are found once per distinct truth value.  Each is guessed
+    from ``ndtr(-+half / sigma)`` and confirmed by testing the adjacent words
+    around the guess, both ends of every value in one ``normal_quantile``
+    call; where those words do not show the switch, a bisection over all
+    ``2^53`` words finds it.
     """
-    lo, hi, _ = _cells(u.reshape(-1))
-    lo = f + sigma * lo.reshape(u.shape)
-    hi = f + sigma * hi.reshape(u.shape)
-    covered = ((hi - half <= f) & (f <= lo + half)).all(axis=1)
-    rows = (((lo - half <= f) & (f <= hi + half)).all(axis=1) & ~covered).nonzero()[0]
-    if rows.size:
-        y = f + sigma * normal_quantile(u[rows])
-        covered[rows] = ((y - half <= f) & (f <= y + half)).all(axis=1)
-    return covered
+    values, index = np.unique(f, return_inverse=True)
+    m = values.size
+    # Entry i < m stands for the lower end of values[i], entry m + i for the
+    # upper end.
+    g = np.concatenate([values, values])[:, None]
+    upper = (np.arange(2 * m) >= m)[:, None]
+
+    def switched(where, k):
+        # At a lower end whether f <= y + half, at an upper end whether
+        # y - half <= f fails: both false below the switch and true from it.
+        gw = g[where]
+        y = gw + sigma * normal_quantile(_uniform(k))
+        return np.where(upper[where], ~(y - half <= gw), gw <= y + half)
+
+    # The guesses: the first words whose uniforms exceed ndtr(-+half/sigma).
+    # t * 2^53 - 0.5 inverts _uniform with its rounding: exactly below 1/2,
+    # and above it, where pairs of words share a uniform, by rounding to
+    # even as _uniform does.
+    z = half / sigma
+    guess = np.floor(np.array([special.ndtr(-z), special.ndtr(z)]) * 2.0**53 - 0.5) + 1.0
+    guess = np.clip(guess, _NEAR, _WORDS - 1 - _NEAR).astype(np.int64)
+    words = np.repeat(guess, m)[:, None] + np.arange(-_NEAR, _NEAR + 1)
+    held = switched(slice(None), words)
+    first = words[:, 0] + np.count_nonzero(~held, axis=1)
+    # Where the first word passes or the last fails, bisect: the switch lies
+    # above `below`, a word where the test fails (or -1), and at or under
+    # `above`, one where it passes (or 2^53).
+    open_ = (held[:, 0] | ~held[:, -1]).nonzero()[0]
+    below = np.full(open_.size, -1, dtype=np.int64)
+    above = np.full(open_.size, _WORDS, dtype=np.int64)
+    while (live := (above - below > 1).nonzero()[0]).size:
+        mid = (below[live] + above[live]) // 2
+        holds = switched(open_[live], mid[:, None])[:, 0]
+        above[live] = np.where(holds, mid, above[live])
+        below[live] = np.where(holds, below[live], mid)
+    first[open_] = above
+    return first[:m][index], first[m:][index] - 1
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -306,10 +361,9 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
     starting at the multiples of that size whatever the thread count; each
     block is one noise draw, one band step and one coverage comparison.  A
-    Bonferroni block draws only the uniforms and decides each coordinate from
-    the bracket of the quantile's first stage, computing exact normals only
-    for a row that the bracket leaves open; its report is byte-identical to
-    that of the full draw.
+    Bonferroni run first finds each coordinate's window of covered Philox
+    words, and a block then takes only the words and compares them with the
+    windows; its report is byte-identical to that of the full draw.
     ``threads > 1`` hands whole blocks to a thread pool of at most
     ``os.cpu_count()`` workers and no more workers than blocks; results are
     byte-identical to the serial run.  Adaptive scenarios are checked for
@@ -340,6 +394,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     elif scenario.kind == "bonferroni":
         fixed_half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
         width = 2.0 * fixed_half
+        lo, hi = _bonferroni_window(f, sigma, fixed_half)
     else:
         space = scenario.space
         fixed_half, width = _subspace_half_width(space, scenario.alpha, scenario.sigma, scenario.per_coordinate)
@@ -354,8 +409,8 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
             stop = min(start + rows, reps)
             if scenario.kind == "bonferroni":
                 # The truth is the one candidate, so both coverages are its own.
-                u = _uniforms(seed, start, n, stop - start)
-                cover_true[start:stop] = cover_surr[start:stop] = _bonferroni_covered(f, sigma, fixed_half, u)
+                k = _words(seed, start, n, stop - start)
+                cover_true[start:stop] = cover_surr[start:stop] = ((k >= lo) & (k <= hi)).all(axis=1)
                 widths[start:stop] = width
                 continue
             block = f + sigma * gaussian_draw(seed, start, n, stop - start)

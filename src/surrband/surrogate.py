@@ -165,13 +165,14 @@ def optimal_tuning(
     """Single-subspace residual caps.
 
     The sup-norm cap is the benchmark width ``w_target(omega, alpha, gamma,
-    sigma)``.  The two-norm cap is ``2 * v2_term(n, d, alpha, gamma)`` (the
-    smallest cap for which the testing obstruction vanishes) or, with
-    ``achievable=True``, ``econst(n-d, alpha/2, gamma) * (n-d)^(1/4) /
-    sqrt(n)`` — the cap at which the concrete two-stage procedure certifies
-    its guarantees.  With ``d == n`` there is no residual and the two-norm
-    cap is 0.  This is :func:`nested_tuning` on the one-level scale of
-    ``space``, whose equal split gives the level the budget ``alpha / 2``.
+    sigma)``.  The two-norm cap is ``sigma * 2 * v2_term(n, d, alpha,
+    gamma)`` (the smallest cap for which the testing obstruction vanishes)
+    or, with ``achievable=True``, ``sigma * econst(n-d, alpha/2, gamma) *
+    (n-d)^(1/4) / sqrt(n)`` — the cap at which the concrete two-stage
+    procedure certifies its guarantees.  With ``d == n`` there is no residual
+    and the two-norm cap is 0.  This is :func:`nested_tuning` on the
+    one-level scale of ``space``, whose equal split gives the level the
+    budget ``alpha / 2``.
     """
     _instance("space", space, Subspace)
     return nested_tuning(NestedScale((space,)), alpha, gamma, sigma, achievable=achievable)
@@ -191,10 +192,14 @@ def nested_tuning(
     ``alphas`` is the per-level coverage budget of length ``m + 1`` (levels
     1..m plus the fallback); it defaults to the equal split
     ``alpha / (m + 1)``.  Level ``j``'s two-norm cap uses its own budget:
-    ``econst(n - d_j, alphas[j], gamma) * (n - d_j)^(1/4) / sqrt(n)`` when
-    ``achievable`` (the default), else ``2 * v2_term(n, d_j, alpha, gamma)``
-    at the global levels.  Every sup-norm cap is the level's benchmark width
-    at the *global* ``alpha``.
+    ``sigma * econst(n - d_j, alphas[j], gamma) * (n - d_j)^(1/4) /
+    sqrt(n)`` when ``achievable`` (the default), else ``sigma * 2 *
+    v2_term(n, d_j, alpha, gamma)`` at the global levels.  Every sup-norm
+    cap is the level's benchmark width at the *global* ``alpha``.  Both
+    caps are in the units of the data, so the tuning is scale-equivariant:
+    at ``c * sigma`` every cap is ``c`` times larger, the residual
+    noncentrality ``n * eps2^2 / sigma^2`` and so the feasibility floor do
+    not change.
     """
     m = _instance("scale", scale, NestedScale).m
     n = scale.n
@@ -213,8 +218,8 @@ def nested_tuning(
         if d == n:
             eps2.append(0.0)
         elif achievable:
-            eps2.append(econst(n - d, alphas[j], gamma) * (n - d) ** 0.25 / math.sqrt(n))
+            eps2.append(sigma * econst(n - d, alphas[j], gamma) * (n - d) ** 0.25 / math.sqrt(n))
         else:
-            eps2.append(2.0 * v2_term(n, d, alpha, gamma))
+            eps2.append(sigma * 2.0 * v2_term(n, d, alpha, gamma))
         eps_inf.append(w_target(space.omega, alpha, gamma, sigma))
     return SurrogateTuning(tuple(eps2), tuple(eps_inf))

@@ -465,12 +465,8 @@ class TestAdaptiveNested:
         rng = np.random.default_rng(407)
         y = rng.normal(size=256)
         c = 3.5
-        tuning = nested_tuning(scale, 0.1, 0.1, sigma=1.0)
-        params = BandParams.equal_split(0.1, 0.1, 1.0, tuning)
-        scaled_tuning = SurrogateTuning(
-            eps2=tuple(c * e for e in tuning.eps2), eps_inf=tuple(c * e for e in tuning.eps_inf)
-        )
-        scaled_params = BandParams.equal_split(0.1, 0.1, c, scaled_tuning)
+        params = BandParams.equal_split(0.1, 0.1, 1.0, nested_tuning(scale, 0.1, 0.1, sigma=1.0))
+        scaled_params = BandParams.equal_split(0.1, 0.1, c, nested_tuning(scale, 0.1, 0.1, sigma=c))
         a = adaptive_band_nested(scale, y, params)
         b = adaptive_band_nested(scale, c * y, scaled_params)
         assert b.selected_level == a.selected_level
@@ -479,6 +475,46 @@ class TestAdaptiveNested:
         assert np.allclose(b.lower, c * a.lower, rtol=1e-12, atol=1e-12)
         for ta, tb in zip(a.t_stats, b.t_stats):
             assert tb == pytest.approx(ta, rel=1e-10)
+
+    @pytest.mark.parametrize("achievable", [True, False])
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 2.0, 1e3])
+    def test_auto_tuning_is_scale_equivariant(self, c, achievable):
+        # Data, noise level and the tuning nested_tuning picks for it, all in
+        # units c times larger: the same test statistics, levels and
+        # feasibility floor, and bands and bounds c times as wide.
+        scale = dyadic_scale(256, [1, 4, 16])
+        rng = np.random.default_rng(1616)
+        x = np.arange(256) / 256
+
+        def setup(sigma):
+            tuning = nested_tuning(scale, 0.1, 0.1, sigma, achievable=achievable)
+            return tuning, BandParams.equal_split(0.1, 0.1, sigma, tuning)
+
+        tuning, params = setup(1.0)
+        scaled_tuning, scaled_params = setup(c)
+        for e, scaled in zip(tuning.eps2 + tuning.eps_inf, scaled_tuning.eps2 + scaled_tuning.eps_inf):
+            assert scaled == pytest.approx(c * e, rel=1e-12)
+        assert min_feasible_gamma(scale, scaled_params) == pytest.approx(
+            min_feasible_gamma(scale, params), rel=1e-9
+        )
+        for w, scaled in zip(level_widths(scale, params), level_widths(scale, scaled_params)):
+            assert scaled == pytest.approx(c * w, rel=1e-12)
+        base = surrogate_lower_bound(scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], 0.1, 0.1)
+        scaled = surrogate_lower_bound(
+            scale.levels[0], scaled_tuning.eps2[0], scaled_tuning.eps_inf[0], 0.1, 0.1, c
+        )
+        for key, value in base.to_dict().items():
+            assert scaled.to_dict()[key] == pytest.approx(c * value, rel=1e-12), key
+        levels = set()
+        for amplitude in (0.0, 0.3, 1.0, 3.0):
+            y = amplitude * np.sin(40.0 * x) + rng.normal(size=256)
+            a = adaptive_band_nested(scale, y, params)
+            b = adaptive_band_nested(scale, c * y, scaled_params)
+            levels.add(a.selected_level)
+            assert b.selected_level == a.selected_level
+            assert b.width == pytest.approx(c * a.width, rel=1e-12)
+            assert np.allclose(b.t_stats, a.t_stats, rtol=1e-10, atol=0.0)
+        assert len(levels) > 1
 
 
 class _Recorder:

@@ -387,6 +387,50 @@ class TestParser:
         assert real() is not real()
 
 
+class TestOutputBytes:
+    """``_dumps`` encodes lists of plain numbers with ``json``'s C encoder;
+    its output must be ``json.dumps(obj, sort_keys=True, indent=2)``."""
+
+    ATOMS = [-0.0, 0.0, 5e-324, 1e16, -1e16, math.nan, math.inf, -math.inf, 0.1, 1.0, 0, -7,
+             2**63, 2**64 + 3, -(2**70), True, False, None, "", "a, b", "[1, 2]", "\u00e9, x",
+             "line\nbreak"]
+
+    @staticmethod
+    def _value(rng, depth):
+        pick = rng.random()
+        if depth > 3 or pick < 0.3:
+            return rng.choice(TestOutputBytes.ATOMS + [rng.uniform(-1e6, 1e6), rng.randint(-10**20, 10**20)])
+        if pick < 0.55:  # plain numbers, or almost: a bool or None among them
+            numbers = [rng.choice([rng.uniform(-1.0, 1.0), rng.randint(-9, 9), -0.0, 5e-324, 1e16,
+                                   math.nan, 2**64]) for _ in range(rng.randint(0, 8))]
+            if numbers and rng.random() < 0.2:
+                numbers[rng.randrange(len(numbers))] = rng.choice([True, None, "1, 2"])
+            return numbers if rng.random() < 0.8 else tuple(numbers)
+        if pick < 0.75:
+            return [TestOutputBytes._value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        keys = ["a", "b", "c, d", "Z", "\u00e9", "config", "truth"]
+        return {rng.choice(keys) + str(rng.randint(0, 9)): TestOutputBytes._value(rng, depth + 1)
+                for _ in range(rng.randint(0, 5))}
+
+    def test_matches_json_dumps(self):
+        import random
+
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            obj = {"config": self._value(rng, 0), "payload": self._value(rng, 1)}
+            assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2), obj
+
+    def test_echoed_vectors_and_odd_keys(self):
+        truth = np.sin(np.arange(4096) / 7.0).tolist()
+        for obj in (
+            {"config": {"truth": truth, "n": 4096}, "reps": 3},
+            {"y": [], "z": {}, "w": [[], {}, [1.5, 2]]},
+            {"a": {1: "int keys", 2.5: [1, 2]}},  # non-string keys: encoded whole
+            [[1, 2], [3.5, -0.0]],
+        ):
+            assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 class TestExitCodes:
     def test_wrong_version(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _constants_config(version=2))

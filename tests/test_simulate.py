@@ -11,6 +11,7 @@ import json
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,32 +232,94 @@ class TestBlocks:
         covered = sum(bool(np.all((b.lower <= s.truth) & (s.truth <= b.upper))) for b in bands)
         assert report.true_coverage == covered / s.reps
 
+    @staticmethod
+    def _check_against_band_calls(monkeypatch, s):
+        """``run`` at ``threads`` 1 and 2 against a per-row
+        ``bonferroni_band`` of the full draw; returns the number of values
+        that ``run`` mapped through the quantile."""
+        bands = [
+            bonferroni_band(s.truth + s.sigma * gaussian_draw(s.seed, rep, s.n), s.alpha, s.sigma)
+            for rep in range(s.reps)
+        ]
+        covered = sum(bool(np.all((b.lower <= s.truth) & (s.truth <= b.upper))) for b in bands)
+        quantile, mapped = simulate.normal_quantile, []
+
+        def counting(u):
+            mapped.append(np.size(u))
+            return quantile(u)
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "normal_quantile", counting)
+        reports = [run(s, width_threshold=1.0, threads=threads) for threads in (1, 2)]
+        assert _dumps(reports[0]) == _dumps(reports[1])
+        for report in reports:
+            assert report.true_coverage == report.surrogate_coverage == covered / s.reps
+            assert np.array_equal(report.widths, [b.width for b in bands])
+        return sum(mapped)
+
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("truth", ["zero", "sine"])
     def test_bonferroni_undecided_coordinates_take_the_exact_draw(self, monkeypatch, n, truth):
-        # A Bonferroni block decides coverage from the quantile's first-stage
-        # bracket, which real draws almost never leave undecided.  A bracket
-        # widened by 1/2 each way still holds the v1 value but leaves many
-        # rows to the exact draw.
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        # A Bonferroni block decides coverage from each coordinate's window of
+        # words, whose ends are guessed and, where the words next to a guess
+        # do not confirm it, found by a bisection of the exact draw.  A guess
+        # of 1/2 at both ends leaves every end to the bisection.
         f = np.zeros(n) if truth == "zero" else np.sin(6.0 * np.arange(1, n + 1) / n)
         s = Scenario(kind="bonferroni", truth=f, reps=300, seed=n, alpha=0.05, sigma=0.5)
-        want = [_dumps(run(s, width_threshold=1.0, threads=threads)) for threads in (1, 2)]
-        cells, quantile, exact = simulate._cells, simulate.normal_quantile, []
+        want = _dumps(run(s, width_threshold=1.0))
+        monkeypatch.setattr(simulate, "special", SimpleNamespace(ndtr=lambda x: 0.5))
+        # One call on the guesses, then one per bisection step.
+        assert self._check_against_band_calls(monkeypatch, s) > 2 * 53 * np.unique(f).size
+        assert _dumps(run(s, width_threshold=1.0)) == want
 
-        def widened(u):
-            lo, hi, steps = cells(u)
-            return lo - 0.5, hi + 0.5, steps
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_bonferroni_window_of_a_truth_near_1e16(self, monkeypatch, n):
+        # At 1e16 one ulp of y is 2, so y = f + q moves in steps of 2 and the
+        # ends of a window lie far from their guesses, where the bisection
+        # finds them.
+        f = 1e16 * np.sin(6.0 * np.arange(1, n + 1) / n)
+        s = Scenario(kind="bonferroni", truth=f, reps=300, seed=n, alpha=0.05, sigma=1.0)
+        assert self._check_against_band_calls(monkeypatch, s) > 2 * 53 * n
 
-        def counting(u):
-            exact.append(u.size)
-            return quantile(u)
 
-        monkeypatch.setattr(simulate, "_cells", widened)
-        monkeypatch.setattr(simulate, "normal_quantile", counting)
-        got = [_dumps(run(s, width_threshold=1.0, threads=threads)) for threads in (1, 2)]
-        assert got == want
-        assert sum(exact) > 0
+class TestBonferroniWindow:
+    """The premise of a Bonferroni block: the words whose draw a coordinate's
+    band covers form one interval, the window ``[lo, hi]``."""
+
+    def test_quantile_is_nondecreasing_on_the_generator_uniforms(self):
+        # Up to 2^20 sorted uniforms of the generator, with those of its
+        # first and last words (the last one's rounds to 1) and 1 - 2^-53.
+        words = simulate._words(3, 0, 2**16, 16).ravel()
+        ends = simulate._uniform(np.array([0, 1, 2**53 - 2, 2**53 - 1]))
+        u = np.sort(np.concatenate([simulate._uniform(words), ends, [1.0 - 2.0**-53]]))
+        assert u[0] == 2.0**-54 and u[-1] == 1.0
+        assert np.all(np.diff(normal_quantile(u)) >= 0.0)
+
+    @pytest.mark.parametrize("search", ["guess", "bisection"])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("truth", ["zero", "sine", "1e6", "1e-9"])
+    def test_window_is_the_band_test_near_its_ends(self, monkeypatch, truth, sigma, search):
+        # Every word within 256 of an end, and the first and last words.  The
+        # second half-width lies between the quantiles 8.10 and 8.29 of the
+        # last two uniforms, 1 - 2^-52 and 1, so it leaves only the last
+        # word uncovered at the top.  A guess of 1/2 leaves every end to the
+        # bisection.
+        n = 12
+        x = np.arange(1, n + 1) / n
+        f = {"zero": np.zeros(n), "sine": np.sin(6.0 * x), "1e6": 1e6 * np.sin(6.0 * x),
+             "1e-9": 1e-9 * np.sin(6.0 * x)}[truth]
+        if search == "bisection":
+            monkeypatch.setattr(simulate, "special", SimpleNamespace(ndtr=lambda x: 0.5))
+        near = np.arange(-256, 257)
+        for half in (simulate._bonferroni_half_width(n, 0.05, sigma), 8.2 * sigma):
+            lo, hi = simulate._bonferroni_window(f, sigma, half)
+            assert np.all(lo <= hi)
+            for i in range(n):
+                k = np.concatenate([lo[i] + near, hi[i] + near, [0, 2**53 - 1]])
+                k = k[(k >= 0) & (k < 2**53)]
+                y = f[i] + sigma * normal_quantile(simulate._uniform(k))
+                want = (y - half <= f[i]) & (f[i] <= y + half)
+                assert np.array_equal((k >= lo[i]) & (k <= hi[i]), want), (half, i)
 
 
 def _digest(report) -> str:

@@ -305,9 +305,9 @@ class TestNormalQuantileMatchesBisection:
 
 
 class TestFirstStageBracket:
-    """A Bonferroni run decides coverage from the bracket ``[lo, hi]`` of the
-    quantile's first stage, ``_cells``, and draws exact values only where it
-    cannot: the bracket must hold the value ``normal_quantile`` returns."""
+    """The bracket ``[lo, hi]`` of the quantile's first stage, ``_cells``,
+    from which its last steps run, must hold the value ``normal_quantile``
+    returns."""
 
     def test_bracket_holds_the_value(self):
         grids = [philox_uniforms((20261019, rep), 2**16) for rep in range(4)]

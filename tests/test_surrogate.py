@@ -176,12 +176,12 @@ class TestOptimalTuning:
         # Same sup radius regardless of the two-norm branch.
         assert optimal_tuning(s, 0.1, 0.1).eps_inf[0] == t.eps_inf[0]
 
-    def test_sigma_scales_sup_radius_only(self):
+    def test_sigma_scales_both_radii(self):
         s = dyadic_blocks(256, 4)
         base = optimal_tuning(s, 0.05, 0.05, sigma=1.0)
         scaled = optimal_tuning(s, 0.05, 0.05, sigma=2.0)
         assert scaled.eps_inf[0] == pytest.approx(2.0 * base.eps_inf[0], rel=1e-12)
-        assert scaled.eps2[0] == base.eps2[0]
+        assert scaled.eps2[0] == 2.0 * base.eps2[0]
 
     def test_full_space_two_norm_radius_zero(self):
         s = dyadic_blocks(8, 8)

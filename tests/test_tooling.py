@@ -82,11 +82,11 @@ def test_run_draws_one_block_per_call(monkeypatch):
 
 
 def test_bonferroni_run_makes_one_uniform_block_per_call(monkeypatch):
-    # A Bonferroni run takes its uniforms, not its normals, one block at a
-    # time, on the block grid of every other run.
+    # A Bonferroni run takes the words behind its uniforms, not its normals,
+    # one block at a time, on the block grid of every other run.
     rows = simulate._BLOCK_VALUES // 64
     s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=2 * rows + 5, seed=1, alpha=0.1, sigma=1.0)
-    serial, threaded = _draw_calls(monkeypatch, "_uniforms", s)
+    serial, threaded = _draw_calls(monkeypatch, "_words", s)
     assert serial == [(0, rows), (rows, rows), (2 * rows, 5)]
     assert threaded == serial
 
