@@ -12,10 +12,10 @@ Four subcommands, all driven by a JSON config file (``--config``):
 ``bounds``
     Width lower-bound decomposition for a tuning configuration.
 ``simulate``
-    Monte Carlo coverage/width certification (``--threads`` or the
-    ``SURRBAND_THREADS`` environment variable, a count in ASCII digits,
-    control parallelism, capped at the CPU count and the replication count;
-    results are byte-identical regardless).
+    Monte Carlo coverage/width certification.  ``--threads`` and the
+    ``SURRBAND_THREADS`` environment variable are still checked (a positive
+    count in ASCII digits, else exit 2), but runs are serial: the count
+    changes neither speed nor a byte of the report.
 
 Each subcommand, and each ``simulate`` procedure, has one key table that
 gives every key's check and whether it is required.  The whole config is
@@ -448,7 +448,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
 # --- parser ---------------------------------------------------------------
 
 _OUT = {"help": "write JSON here instead of stdout"}
-_THREADS_HELP = "worker threads (default: SURRBAND_THREADS or 1; at most the CPU count)"
+_THREADS_HELP = "a positive count, checked but unused: runs are serial (default: SURRBAND_THREADS or 1)"
 
 # name: (config check, handler, options besides --config, help, description)
 _COMMANDS = {
@@ -478,9 +478,9 @@ _COMMANDS = {
         _tagged("procedure", _SIMULATE), _cmd_simulate,
         {"--out": _OUT, "--threads": {"help": _THREADS_HELP}},
         "Monte Carlo coverage/width certification",
-        "Run the configured scenario; results are byte-identical for any "
-        "thread count (replications are keyed by a counter-based "
-        "generator, not by execution order).",
+        "Run the configured scenario; replications are keyed by a "
+        "counter-based generator, not by execution order, so results are "
+        "byte-identical for any --threads value.",
     ),
 }
 

@@ -2,17 +2,19 @@
 
 Replications are driven by a counter-based generator (Philox) keyed by
 ``(seed, replication index)``: every replication's noise depends only on the
-seed and its own index, never on execution order, so serial and multi-threaded
-runs produce byte-identical reports.  Uniform draws are mapped to normals
-through the package's own deterministic bisection inverse of the Gaussian
-distribution function, :func:`~surrband.specfun.normal_quantile`.  It skips
-the exactly computed steps and stops each value once its bracket stops
-moving, which returns the bisection's values bit for bit, so this is still
-draw stream v1: the same seed gives the same noise as ever.  Each
-replication's Philox generator is a kept object reset to a kept state with
-only the replication index rewritten.
+seed and its own index, never on execution order.  Runs are serial: the
+``threads`` argument of :func:`run` is validated but changes neither speed
+nor bytes, since on two cores a thread pool never made a benchmark workload
+faster.  Uniform draws are mapped to normals through the package's own
+deterministic bisection inverse of the Gaussian distribution function,
+:func:`~surrband.specfun.normal_quantile`.  It skips the exactly computed
+steps and stops each value once its bracket stops moving, which returns the
+bisection's values bit for bit, so this is still draw stream v1: the same
+seed gives the same noise as ever.  Each replication's Philox generator is
+a kept object reset to a kept state with only the replication index
+rewritten.
 
-Replications are cut into blocks on one grid for every thread count.  The
+Replications are cut into blocks on one grid, walked in order.  The
 noise of a block is drawn in one call, and one band step per block gives
 each row a centre and a half-width: the projection of the block for a
 subspace run, or the block walk of the private band plan of
@@ -42,8 +44,6 @@ collected per replication and summarized in a :class:`SimReport`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,15 +207,16 @@ class SimReport:
 # Philox objects not in use, each paired with the state it is reset to: that
 # of a new Philox(key=key), counter zero and buffer empty, whose key is
 # rewritten for each row.  Resetting a kept object from a kept state is
-# cheaper than building either anew; list pop/append are atomic, so each
-# thread drawing at a time holds its own pair, and the list never holds more
-# than ran at once.
+# cheaper than building either anew.  ``run`` draws on the calling thread
+# only, but library callers may call ``gaussian_draw`` from threads of their
+# own: list pop/append are atomic, so each draw running at a time holds its
+# own pair, and the list never holds more than ran at once.
 _IDLE_PHILOX: list = []
 
 # About this many normal deviates are drawn per call in ``run``: a block of
 # ``max(1, _BLOCK_VALUES // n)`` replications.  Large enough that the numpy
 # call overhead of the quantile is spread over many rows, small enough that
-# its work arrays stay in cache.  The same for every thread count.
+# its work arrays stay in cache.
 _BLOCK_VALUES = 2**12
 
 # The number of 53-bit words behind the uniforms of a draw, and how many
@@ -350,24 +351,19 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
     return first[:m][index], first[m:][index] - 1
 
 
-def _worker_count(threads: int, blocks: int) -> int:
-    """Threads worth starting: no more than requested, blocks or CPUs."""
-    return min(threads, blocks, os.cpu_count() or 1)
-
-
 def run(scenario: Scenario, *, width_threshold: float | None = None, threads: int = 1) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
     Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
-    starting at the multiples of that size whatever the thread count; each
-    block is one noise draw, one band step and one coverage comparison.  A
-    Bonferroni run first finds each coordinate's window of covered Philox
-    words, and a block then takes only the words and compares them with the
-    windows; its report is byte-identical to that of the full draw.
-    ``threads > 1`` hands whole blocks to a thread pool of at most
-    ``os.cpu_count()`` workers and no more workers than blocks; results are
-    byte-identical to the serial run.  Adaptive scenarios are checked for
-    feasibility once up front (raising
+    starting at the multiples of that size, and walked in order on the
+    calling thread; each block is one noise draw, one band step and one
+    coverage comparison.  A Bonferroni run first finds each coordinate's
+    window of covered Philox words, and a block then takes only the words
+    and compares them with the windows; its report is byte-identical to that
+    of the full draw.  ``threads`` must be a positive int, but no thread is
+    started: the report has the same bytes for every count, and two threads
+    never ran a benchmark workload faster than one.  Adaptive scenarios are
+    checked for feasibility once up front (raising
     :class:`~surrband.errors.FeasibilityError` before any sampling).
     """
     _instance("scenario", scenario, Scenario)
@@ -404,39 +400,29 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     cover_surr = np.zeros(reps, dtype=bool)
     levels = None if plan is None else np.zeros(reps, dtype=np.int64)
 
-    def work(starts: range) -> None:
-        for start in starts:
-            stop = min(start + rows, reps)
-            if scenario.kind == "bonferroni":
-                # The truth is the one candidate, so both coverages are its own.
-                k = _words(seed, start, n, stop - start)
-                cover_true[start:stop] = cover_surr[start:stop] = ((k >= lo) & (k <= hi)).all(axis=1)
-                widths[start:stop] = width
-                continue
-            block = f + sigma * gaussian_draw(seed, start, n, stop - start)
-            if plan is None:
-                # subspace_band's arithmetic, row by row.
-                center = space._project_rows(block)
-                half = fixed_half
-                widths[start:stop] = width
-            else:
-                levels[start:stop], center, half = plan.walk(block)
-                widths[start:stop] = 2.0 * half
-                half = half[:, None, None]
-            # Rows against every candidate in one (k, c, n) comparison.
-            center = center[:, None]
-            covered = ((center - half <= candidates) & (candidates <= center + half)).all(axis=2)
-            cover_surr[start:stop] = covered.any(axis=1)
-            cover_true[start:stop] = covered[:, truth]
-
-    starts = range(0, reps, rows)
-    workers = _worker_count(threads, len(starts))
-    if workers == 1:
-        work(starts)
-    else:
-        # Worker i takes blocks i, i + workers, ...: one task per worker.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, [starts[i::workers] for i in range(workers)]))
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        if scenario.kind == "bonferroni":
+            # The truth is the one candidate, so both coverages are its own.
+            k = _words(seed, start, n, stop - start)
+            cover_true[start:stop] = cover_surr[start:stop] = ((k >= lo) & (k <= hi)).all(axis=1)
+            widths[start:stop] = width
+            continue
+        block = f + sigma * gaussian_draw(seed, start, n, stop - start)
+        if plan is None:
+            # subspace_band's arithmetic, row by row.
+            center = space._project_rows(block)
+            half = fixed_half
+            widths[start:stop] = width
+        else:
+            levels[start:stop], center, half = plan.walk(block)
+            widths[start:stop] = 2.0 * half
+            half = half[:, None, None]
+        # Rows against every candidate in one (k, c, n) comparison.
+        center = center[:, None]
+        covered = ((center - half <= candidates) & (candidates <= center + half)).all(axis=2)
+        cover_surr[start:stop] = covered.any(axis=1)
+        cover_true[start:stop] = covered[:, truth]
 
     def rate(flags: np.ndarray) -> tuple[float, float]:
         p = float(np.count_nonzero(flags)) / reps

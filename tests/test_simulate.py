@@ -9,6 +9,7 @@ spoiler construction against its exact norm targets.
 import hashlib
 import json
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -165,10 +166,8 @@ class TestRunDeterminism:
             assert parallel == serial, threads
 
     def test_uneven_chunks_match_serial(self, monkeypatch):
-        # Worker counts are capped at the CPU count and the block count;
-        # pretend to have enough CPUs, and cut 22 blocks (the last one short),
-        # so that 3 and 5 workers with uneven shares of blocks are really run.
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        # 22 blocks, the last one short: a thread count that does not divide
+        # them still gives the serial bytes.
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * 32)
         s = _adaptive_scenario(reps=151)
         serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
@@ -179,6 +178,20 @@ class TestRunDeterminism:
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 8 * 32)  # 12 blocks
         s = _adaptive_scenario(reps=90)
         assert np.array_equal(run(s, threads=1).widths, run(s, threads=4).widths)
+
+    def test_run_starts_no_thread(self, monkeypatch):
+        # Runs are serial whatever the count, which is still checked.  About
+        # 21 blocks, so that a pool would have work for more than one thread.
+        def refuse(thread):
+            raise AssertionError(f"run started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 3 * 33)
+        for kind, s in _block_scenarios().items():
+            assert _dumps(run(s, threads=8)) == _dumps(run(s, threads=1)), kind
+        for threads in (0, True):
+            with pytest.raises(DomainError, match="threads"):
+                run(_adaptive_scenario(reps=10), threads=threads)
 
     def test_seed_changes_results(self):
         a = run(_adaptive_scenario(seed=7))
@@ -211,7 +224,6 @@ class TestBlocks:
 
     @pytest.mark.parametrize("kind", ["adaptive", "bonferroni", "subspace"])
     def test_reports_identical_for_every_block_size_and_thread_count(self, monkeypatch, kind):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         s = _block_scenarios()[kind]
         want = _dumps(run(s, width_threshold=1.0))
         default = simulate._BLOCK_VALUES
@@ -248,7 +260,6 @@ class TestBlocks:
             mapped.append(np.size(u))
             return quantile(u)
 
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simulate, "normal_quantile", counting)
         reports = [run(s, width_threshold=1.0, threads=threads) for threads in (1, 2)]
         assert _dumps(reports[0]) == _dumps(reports[1])
@@ -628,37 +639,6 @@ class TestScenarioValidation:
         space = dyadic_blocks(8, 2) if kind == "subspace" else None
         with pytest.raises(DomainError):
             Scenario(kind=kind, truth=np.zeros(8), reps=10, seed=1, space=space, alpha=alpha, sigma=sigma)
-
-
-class TestWorkerCount:
-    """The worker cap, checked as a pure function: no test starts many threads."""
-
-    def test_capped_by_threads_reps_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        assert simulate._worker_count(10**9, 10**9) == 2
-        assert simulate._worker_count(10**9, 1) == 1
-        assert simulate._worker_count(1, 10**9) == 1
-        assert simulate._worker_count(2, 100) == 2
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-        assert simulate._worker_count(10**9, 10**9) == 1
-
-    def test_run_starts_the_capped_count(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 4 * 32)  # 5 blocks
-        s = _adaptive_scenario(reps=20)
-        serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
-        assert json.dumps(run(s, threads=64).to_dict(), sort_keys=True) == serial
-        assert pools == [2]
 
 
 class TestMakeSpoiler:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from surrband import bands, specfun
+from surrband import bands, simulate, specfun
 from surrband import (
     BandParams,
     DomainError,
@@ -210,13 +210,33 @@ def edge_grids():
 class TestNormalQuantileMatchesBisection:
     """The shortcut in ``normal_quantile`` must not change a single bit."""
 
-    def test_philox_stream(self):
+    def test_philox_stream(self, monkeypatch):
+        # Every value of the stream is served by its guessed cell or the one
+        # next to it: the plain bisection, the last fallback, never runs.
+        runs = []
+        real = specfun._bisect
+        monkeypatch.setattr(specfun, "_bisect", lambda *args: runs.append(args[-1]) or real(*args))
         total = 0
         for rep in range(16):
             u = philox_uniforms((20260823, rep), 2**16)
             assert_bits_equal(normal_quantile(u), bisection_quantile(u))
             total += u.size
         assert total >= 10**6
+        assert runs == []
+
+    def test_last_word_takes_its_cell(self, monkeypatch):
+        # The uniform of the last 53-bit word rounds to exactly 1.0.  Its
+        # quantile is the first x where ndtr rounds to 1, and the guessed
+        # cell holds it, so no plain bisection runs for it either.
+        runs = []
+        real = specfun._bisect
+        monkeypatch.setattr(specfun, "_bisect", lambda *args: runs.append(args[-1]) or real(*args))
+        u = simulate._uniform(np.array([2**53 - 1]))
+        assert u[0] == 1.0
+        got = normal_quantile(u)
+        assert_bits_equal(got, bisection_quantile(u))
+        assert_bits_equal(got, np.array([8.292361075813595]))
+        assert runs == []
 
     def test_binade_edges_of_the_cells(self):
         # The fine cells change width where |z| crosses a power of two: the
@@ -257,21 +277,28 @@ class TestNormalQuantileMatchesBisection:
         u = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-22, 1.0, 2.0, -1.0, np.nan, np.inf])
         assert_bits_equal(normal_quantile(u), bisection_quantile(u))
 
-    @pytest.mark.parametrize("offset, full_runs", [(-1, 0), (1, 0), (-2, 1), (3, 1)])
+    @pytest.mark.parametrize("offset, full_runs", [(-1, 0), (1, 0), (-2, 1), (2, 1), (3, 1)])
     def test_wrong_guess_moves_or_falls_back(self, monkeypatch, offset, full_runs):
-        # Feed the shortcut a guess ``offset`` cells away from the true cell:
-        # one cell off is moved, further off runs all 64 steps.
+        # Feed the shortcut a guess ``offset`` fine cells away from the true
+        # cell: one cell off is moved, further off runs the plain bisection
+        # once, for every value in one call.
         u = np.concatenate([philox_uniforms((5, 0), 64), [0.5, 2.0**-54, 1.0 - 2.0**-53]])
         want = bisection_quantile(u)
+        # Each value's fine cell 19 * 2^-s and the bracket of its first s
+        # steps (see test_fine_cells_span_at_least_38_ulps).
+        e = np.frexp(np.abs(want) + specfun._CELL)[1] - 1
+        s = np.minimum(51 - e, 53)
+        cell = 19.0 * 2.0**-s
         lo = np.full(u.shape, -9.5)
         hi = np.full(u.shape, 9.5)
-        for _ in range(48):  # the exact part of the bisection: its cell
+        first = lo
+        for step in range(1, 54):
             mid = 0.5 * (lo + hi)
             below = special.ndtr(mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        cell = np.round(lo / specfun._CELL)
-        guess = (np.clip(cell + offset, -(2.0**47), 2.0**47 - 1.0) + 0.5) * specfun._CELL
+            first = np.where(step == s, lo, first)
+        guess = first + (offset + 0.5) * cell
         # normal_quantile passes the lower-tail probability to ndtri and
         # negates its result above 1/2.
         guess = np.where(u > 0.5, -guess, guess)
@@ -286,10 +313,9 @@ class TestNormalQuantileMatchesBisection:
         monkeypatch.setattr(specfun, "_bisect", spy)
         got = normal_quantile(u)
         assert_bits_equal(got, want)
-        full = [size for steps, size in runs if steps == 48]
-        assert len(full) == full_runs
+        assert [steps for steps, _ in runs] == [64] * full_runs
         if full_runs:
-            assert 0 < full[0] <= u.size
+            assert runs[0][1] == u.size
 
     def test_scalar_and_zero_d_input(self):
         for u in (0.3, 0.5, 0.975, 2.0**-54, np.float64(0.7), np.array(0.1)):

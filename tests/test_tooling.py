@@ -8,7 +8,8 @@ tests catch both here, check that a run draws and walks one block of
 replications per call, and catch a drift of the draw from the fingerprint
 ``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
 also keep the numeric argument checks, and the type checks of structured
-arguments, in ``specfun``, their one home.
+arguments, in ``specfun``, their one home, and keep the package free of
+thread and process pools: Monte Carlo runs are serial.
 """
 
 import ast
@@ -61,7 +62,6 @@ def _draw_calls(monkeypatch, name, scenario):
         return original(seed, rep, n, count)
 
     monkeypatch.setattr(simulate, name, counting)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     simulate.run(scenario)
     serial = calls.copy()
     calls.clear()
@@ -102,7 +102,6 @@ def test_run_walks_one_block_per_call(monkeypatch):
         return original(plan, block)
 
     monkeypatch.setattr(bands._Plan, "walk", counting)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     rows = simulate._BLOCK_VALUES // 64
     reps = 2 * rows + 5
     scale = dyadic_scale(64, [1, 4, 16])
@@ -161,5 +160,27 @@ def test_argument_checks_live_in_specfun():
                 f"{path.name}:{number}: {word}"
                 for word in _DELETED_CHECKS + _CHECK_STEMS
                 if word in line
+            ]
+    assert not found, found
+
+
+# Top-level modules that start threads or processes.
+_CONCURRENCY = ("concurrent", "threading", "multiprocessing")
+
+
+def test_package_imports_no_pool():
+    # Two threads never ran a benchmark workload faster than one, so runs are
+    # serial; a pool can come back only by changing this list on purpose.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}" for name in names if name.partition(".")[0] in _CONCURRENCY
             ]
     assert not found, found
