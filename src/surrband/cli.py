@@ -12,10 +12,9 @@ Four subcommands, all driven by a JSON config file (``--config``):
 ``bounds``
     Width lower-bound decomposition for a tuning configuration.
 ``simulate``
-    Monte Carlo coverage/width certification.  ``--threads`` and the
-    ``SURRBAND_THREADS`` environment variable are still checked (a positive
-    count in ASCII digits, else exit 2), but runs are serial: the count
-    changes neither speed nor a byte of the report.
+    Monte Carlo coverage/width certification.  ``--threads``, when given,
+    is checked (a positive count in ASCII digits, else exit 2) but unused:
+    runs are serial.
 
 Each subcommand, and each ``simulate`` procedure, has one key table that
 gives every key's check and whether it is required.  The whole config is
@@ -40,7 +39,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -397,26 +395,21 @@ def _cmd_bounds(cfg: dict, args) -> int:
     return _emit(payload, cfg, args.out)
 
 
-def _thread_count(text: str, source: str) -> int:
-    """A positive count in ASCII digits only: ``int`` would also take other
-    Unicode digits, underscores and surrounding spaces."""
+def _thread_count(text: str) -> None:
+    """Refuse a ``--threads`` value that is not a positive count in ASCII
+    digits: ``int`` would also take other Unicode digits, underscores and
+    surrounding spaces."""
     try:
         value = int(text) if text.isascii() and text.isdigit() else 0
     except ValueError:  # more digits than int() converts
         value = 0
     if value < 1:
-        raise DomainError(f"{source} must be a positive integer, got {text!r}")
-    return value
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return _thread_count(args.threads, "--threads")
-    return _thread_count(os.environ.get("SURRBAND_THREADS", "1"), "SURRBAND_THREADS")
+        raise DomainError(f"--threads must be a positive integer, got {text!r}")
 
 
 def _cmd_simulate(cfg: dict, args) -> int:
-    threads = _resolve_threads(args)
+    if args.threads is not None:
+        _thread_count(args.threads)
     procedure, n, truth = cfg["procedure"], cfg["n"], cfg["truth"]
     if procedure == "adaptive":
         scale = _build_scale(cfg, n)
@@ -441,14 +434,14 @@ def _cmd_simulate(cfg: dict, args) -> int:
     width_threshold = cfg.get("widthThreshold")
     if type(width_threshold) is dict:  # a level width, adaptive runs only
         width_threshold = level_widths(scale, params)[width_threshold["level"] - 1]
-    report = run(scenario, width_threshold=width_threshold, threads=threads)
+    report = run(scenario, width_threshold=width_threshold)
     return _emit(report.to_dict(), cfg, args.out)
 
 
 # --- parser ---------------------------------------------------------------
 
 _OUT = {"help": "write JSON here instead of stdout"}
-_THREADS_HELP = "a positive count, checked but unused: runs are serial (default: SURRBAND_THREADS or 1)"
+_THREADS_HELP = "a positive count, checked but unused: runs are serial"
 
 # name: (config check, handler, options besides --config, help, description)
 _COMMANDS = {

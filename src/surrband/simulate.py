@@ -2,11 +2,10 @@
 
 Replications are driven by a counter-based generator (Philox) keyed by
 ``(seed, replication index)``: every replication's noise depends only on the
-seed and its own index, never on execution order.  Runs are serial: the
-``threads`` argument of :func:`run` is validated but changes neither speed
-nor bytes, since on two cores a thread pool never made a benchmark workload
-faster.  Uniform draws are mapped to normals through the package's own
-deterministic bisection inverse of the Gaussian distribution function,
+seed and its own index, never on execution order.  Runs are serial: on
+two cores a thread pool never made a benchmark workload faster.  Uniform
+draws are mapped to normals through the package's own deterministic
+bisection inverse of the Gaussian distribution function,
 :func:`~surrband.specfun.normal_quantile`.  It skips the exactly computed
 steps and stops each value once its bracket stops moving, which returns the
 bisection's values bit for bit, so this is still draw stream v1: the same
@@ -49,10 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-# adaptive_band_nested and min_feasible_gamma are what the band plan does per
-# replication and once per run, and bonferroni_band and subspace_band what a
-# Bonferroni or subspace block does per row; they stay importable from this
-# module.
+# Nothing here calls adaptive_band_nested, min_feasible_gamma or
+# bonferroni_band: they stay only because the benchmark's tracer
+# (perfbench/tracing.py) wraps them in this module (ROADMAP item 1).
 from .bands import (  # noqa: F401
     BandParams,
     _bonferroni_half_width,
@@ -61,7 +59,6 @@ from .bands import (  # noqa: F401
     adaptive_band_nested,
     bonferroni_band,
     min_feasible_gamma,
-    subspace_band,
 )
 from .errors import DomainError
 from .specfun import (
@@ -351,7 +348,7 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
     return first[:m][index], first[m:][index] - 1
 
 
-def run(scenario: Scenario, *, width_threshold: float | None = None, threads: int = 1) -> SimReport:
+def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
     Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
@@ -360,14 +357,11 @@ def run(scenario: Scenario, *, width_threshold: float | None = None, threads: in
     coverage comparison.  A Bonferroni run first finds each coordinate's
     window of covered Philox words, and a block then takes only the words
     and compares them with the windows; its report is byte-identical to that
-    of the full draw.  ``threads`` must be a positive int, but no thread is
-    started: the report has the same bytes for every count, and two threads
-    never ran a benchmark workload faster than one.  Adaptive scenarios are
-    checked for feasibility once up front (raising
-    :class:`~surrband.errors.FeasibilityError` before any sampling).
+    of the full draw.  Adaptive scenarios are checked for feasibility once
+    up front (raising :class:`~surrband.errors.FeasibilityError` before any
+    sampling).
     """
     _instance("scenario", scenario, Scenario)
-    _count("threads", threads, 1)
     if width_threshold is not None:
         width_threshold = _finite("width_threshold", width_threshold)
 

@@ -53,8 +53,8 @@ with finite entries a float64 array and refuses booleans, strings and
 objects; ``_instance(name, v, cls)`` checks the type of a structured
 argument such as a subspace, a scale or band parameters.  Integers follow
 one of two rules.  ``_count(name, v, minimum)`` takes a Python ``int`` only:
-replication keys, block counts, ``reps``, ``seed`` and ``threads``, whose
-sums are checked against 2**64, where a numpy integer would wrap.
+replication keys, block counts, ``reps`` and ``seed``, whose sums are
+checked against 2**64, where a numpy integer would wrap.
 ``_size(name, v, minimum)`` also takes numpy integers: grid sizes,
 dimensions and degrees of freedom.
 """
@@ -192,9 +192,9 @@ def _sigma(name: str, value) -> float:
 
 
 def _count(name: str, value, minimum: int) -> int:
-    """A Python ``int`` of at least ``minimum``: seeds, thread numbers, and
-    replication keys and counts, whose sums are checked against 2**64, where
-    a numpy integer would wrap.  A ``bool`` is no count."""
+    """A Python ``int`` of at least ``minimum``: seeds, and replication keys
+    and counts, whose sums are checked against 2**64, where a numpy integer
+    would wrap.  A ``bool`` is no count."""
     if type(value) is not int or value < minimum:
         raise DomainError(f"{name} must be a Python int of at least {minimum}, got {value!r}")
     return value

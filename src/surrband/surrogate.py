@@ -97,11 +97,26 @@ def surrogate_target(space: Subspace, f, eps2: float, eps_inf: float) -> np.ndar
     """
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     f = _as_vector(f, _instance("space", space, Subspace).n)
+    proj = _spoiler(space, f, eps2, eps_inf)
+    return f.copy() if proj is None else proj
+
+
+def _spoiler(space: Subspace, f: np.ndarray, eps2: float, eps_inf: float) -> np.ndarray | None:
+    """The projection of the checked vector ``f`` if ``f`` is a spoiler at
+    this level (residual two-norm at most ``eps2``, sup norm above
+    ``eps_inf``), else ``None``."""
     proj = space._project(f)
     resid = f - proj
-    if norm2(resid) <= eps2 and sup_norm(resid) > eps_inf:
-        return proj
-    return f.copy()
+    return proj if norm2(resid) <= eps2 and sup_norm(resid) > eps_inf else None
+
+
+def _spoilers(scale: NestedScale, f: np.ndarray, tuning: SurrogateTuning):
+    """``(j, projection)`` for each 1-based level ``j`` at which ``f`` is a
+    spoiler, each level projected once."""
+    for j, space in enumerate(scale.levels, start=1):
+        proj = _spoiler(space, f, tuning.eps2[j - 1], tuning.eps_inf[j - 1])
+        if proj is not None:
+            yield j, proj
 
 
 def _check_scale_tuning(scale: NestedScale, tuning: SurrogateTuning) -> None:
@@ -115,13 +130,7 @@ def _check_scale_tuning(scale: NestedScale, tuning: SurrogateTuning) -> None:
 def selected_levels(scale: NestedScale, f, tuning: SurrogateTuning) -> tuple[int, ...]:
     """1-based levels at which ``f`` is a spoiler (surrogate = projection)."""
     _check_scale_tuning(scale, tuning)
-    f = _as_vector(f, scale.n)
-    out = []
-    for j, space in enumerate(scale.levels, start=1):
-        resid = f - space.project(f)
-        if norm2(resid) <= tuning.eps2[j - 1] and sup_norm(resid) > tuning.eps_inf[j - 1]:
-            out.append(j)
-    return tuple(out)
+    return tuple(j for j, _ in _spoilers(scale, _as_vector(f, scale.n), tuning))
 
 
 def surrogate_set(scale: NestedScale, f, tuning: SurrogateTuning) -> list[SurrogateCandidate]:
@@ -133,9 +142,7 @@ def surrogate_set(scale: NestedScale, f, tuning: SurrogateTuning) -> list[Surrog
     """
     _check_scale_tuning(scale, tuning)
     f = _as_vector(f, scale.n)
-    sources: list[tuple[np.ndarray, str]] = []
-    for j in selected_levels(scale, f, tuning):
-        sources.append((scale.levels[j - 1].project(f), f"projection:{j}"))
+    sources = [(proj, f"projection:{j}") for j, proj in _spoilers(scale, f, tuning)]
     sources.append((f.copy(), "identity"))
 
     merged: list[tuple[np.ndarray, list[str]]] = []

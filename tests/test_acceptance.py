@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from surrband import simulate
 from surrband import (
     BandParams,
     NestedScale,
@@ -65,7 +66,7 @@ def single_level_run():
         kind="adaptive", truth=truth, reps=10_000, seed=SEED, scale=scale, params=params
     )
     start = time.perf_counter()
-    report = run(scenario, width_threshold=widths[0], threads=1)
+    report = run(scenario, width_threshold=widths[0])
     elapsed = time.perf_counter() - start
     return report, widths, elapsed, scale, params, tuning
 
@@ -335,7 +336,7 @@ class TestAcceptance:
             f"modulus vs grid-search oracle within 5%: worst {worst_rel * 100:.2f}% ({'; '.join(details)})",
         )
 
-    def test_a12_byte_identical_replay(self):
+    def test_a12_byte_identical_replay(self, monkeypatch):
         import json
 
         scale = dyadic_scale(32, [1, 4])
@@ -344,13 +345,16 @@ class TestAcceptance:
         scenario = Scenario(
             kind="adaptive", truth=np.zeros(32), reps=400, seed=SEED + 4, scale=scale, params=params
         )
-        serial = json.dumps(run(scenario, threads=1).to_dict(), sort_keys=True).encode()
-        rerun = json.dumps(run(scenario, threads=1).to_dict(), sort_keys=True).encode()
-        parallel = json.dumps(run(scenario, threads=3).to_dict(), sort_keys=True).encode()
-        ok = serial == rerun == parallel
+        rows = simulate._BLOCK_VALUES // scenario.n
+        first = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
+        rerun = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
+        # A second block grid: 58 blocks of 7 replications, the last one short.
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * scenario.n)
+        regrid = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
+        ok = first == rerun == regrid
         _verdict(
             "A12",
             ok,
-            f"reports byte-identical: rerun {serial == rerun}, serial vs 3 threads {serial == parallel} "
-            f"({len(serial)} bytes)",
+            f"reports byte-identical: rerun {first == rerun}, {rows}-row vs 7-row blocks "
+            f"{first == regrid} ({len(first)} bytes)",
         )

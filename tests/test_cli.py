@@ -2,8 +2,8 @@
 
 Most tests drive ``main(argv)`` directly with JSON configs on disk, checking
 frozen constant values, CSV/sidecar structure, byte-identical replay across
-thread counts, and the exit-code contract (0 success, 2 config/domain error,
-3 infeasible narrowness level). One test,
+``--threads`` values, and the exit-code contract (0 success, 2 config/domain
+error, 3 infeasible narrowness level). One test,
 ``TestExitCodes.test_console_script_installed``, runs the entry points as
 separate processes: the ``surrband`` console script declared in
 ``pyproject.toml`` (through a launcher it writes itself, and the installed
@@ -261,26 +261,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out_b), "--threads", "3"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_threads_env_honored(self, tmp_path, monkeypatch):
+    def test_threads_env_ignored(self, tmp_path, monkeypatch):
+        # SURRBAND_THREADS is no longer read, not even to be checked.
         cfg = _write_config(tmp_path, _simulate_config())
-        out_a, out_b = tmp_path / "env.json", tmp_path / "flag.json"
-        monkeypatch.setenv("SURRBAND_THREADS", "4")
+        out_a, out_b = tmp_path / "env.json", tmp_path / "unset.json"
+        monkeypatch.setenv("SURRBAND_THREADS", "many")
         assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
         monkeypatch.delenv("SURRBAND_THREADS")
         assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_bad_env_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg = _write_config(tmp_path, _simulate_config())
-        monkeypatch.setenv("SURRBAND_THREADS", "many")
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "SURRBAND_THREADS" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, tmp_path, monkeypatch, capsys):
-        cfg = _write_config(tmp_path, _simulate_config())
-        monkeypatch.setenv("SURRBAND_THREADS", "many")
-        assert main(["simulate", "--config", cfg, "--threads", "2"]) == 0
-        capsys.readouterr()
 
     # int() accepts all of these: underscores, spaces, non-ASCII digits (U+0662
     # is an Arabic-Indic two), and integers longer than it converts.
@@ -291,13 +280,6 @@ class TestSimulate:
         cfg = _write_config(tmp_path, _simulate_config())
         assert main(["simulate", "--config", cfg, "--threads", text]) == 2
         assert "--threads" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", BAD_COUNTS)
-    def test_bad_threads_env_rejected(self, tmp_path, monkeypatch, capsys, text):
-        cfg = _write_config(tmp_path, _simulate_config())
-        monkeypatch.setenv("SURRBAND_THREADS", text)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "SURRBAND_THREADS" in capsys.readouterr().err
 
     def test_width_threshold_level_form(self, tmp_path, capsys):
         cfg = _write_config(

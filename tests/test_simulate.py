@@ -2,11 +2,12 @@
 
 Reproducibility is the load-bearing property here: the per-replication
 counter-based noise stream must make reports byte-identical across reruns and
-across thread counts.  Draw quality is checked against Gaussian moments, the
+across block grids.  Draw quality is checked against Gaussian moments, the
 spoiler construction against its exact norm targets.
 """
 
 import hashlib
+import inspect
 import json
 import sys
 import threading
@@ -158,40 +159,36 @@ class TestRunDeterminism:
         b = json.dumps(run(s).to_dict(), sort_keys=True)
         assert a == b
 
-    def test_serial_matches_threaded(self):
-        s = _adaptive_scenario(reps=150)
-        serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
-        for threads in (2, 3, 5):
-            parallel = json.dumps(run(s, threads=threads).to_dict(), sort_keys=True)
-            assert parallel == serial, threads
-
     def test_uneven_chunks_match_serial(self, monkeypatch):
-        # 22 blocks, the last one short: a thread count that does not divide
-        # them still gives the serial bytes.
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * 32)
+        # 22 blocks of 7 rows, the last one short, give the bytes of the
+        # default grid's two blocks.
         s = _adaptive_scenario(reps=151)
-        serial = json.dumps(run(s, threads=1).to_dict(), sort_keys=True)
-        for threads in (3, 5):
-            assert json.dumps(run(s, threads=threads).to_dict(), sort_keys=True) == serial
+        want = _dumps(run(s))
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * 32)
+        assert _dumps(run(s)) == want
 
-    def test_widths_array_matches_threaded(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 8 * 32)  # 12 blocks
+    def test_widths_array_matches_across_grids(self, monkeypatch):
         s = _adaptive_scenario(reps=90)
-        assert np.array_equal(run(s, threads=1).widths, run(s, threads=4).widths)
+        want = run(s).widths
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 8 * 32)  # 12 blocks
+        assert np.array_equal(run(s).widths, want)
 
     def test_run_starts_no_thread(self, monkeypatch):
-        # Runs are serial whatever the count, which is still checked.  About
-        # 21 blocks, so that a pool would have work for more than one thread.
+        # Runs are serial.  About 21 blocks, so that a pool would have work
+        # for more than one thread.
         def refuse(thread):
             raise AssertionError(f"run started {thread!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
+        want = {kind: _dumps(run(s)) for kind, s in _block_scenarios().items()}
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 3 * 33)
         for kind, s in _block_scenarios().items():
-            assert _dumps(run(s, threads=8)) == _dumps(run(s, threads=1)), kind
-        for threads in (0, True):
-            with pytest.raises(DomainError, match="threads"):
-                run(_adaptive_scenario(reps=10), threads=threads)
+            assert _dumps(run(s)) == want[kind], kind
+
+    def test_run_takes_no_thread_count(self):
+        assert "threads" not in inspect.signature(run).parameters
+        with pytest.raises(TypeError, match="threads"):
+            run(_adaptive_scenario(reps=10), threads=1)
 
     def test_seed_changes_results(self):
         a = run(_adaptive_scenario(seed=7))
@@ -219,18 +216,16 @@ def _block_scenarios():
 
 
 class TestBlocks:
-    """``run`` draws a block of replications per call; neither the block size
-    nor the thread count may change a byte of the report."""
+    """``run`` draws a block of replications per call; the block size may not
+    change a byte of the report."""
 
     @pytest.mark.parametrize("kind", ["adaptive", "bonferroni", "subspace"])
-    def test_reports_identical_for_every_block_size_and_thread_count(self, monkeypatch, kind):
+    def test_reports_identical_for_every_block_size(self, monkeypatch, kind):
         s = _block_scenarios()[kind]
         want = _dumps(run(s, width_threshold=1.0))
-        default = simulate._BLOCK_VALUES
-        for rows in (1, 3, 7, None):
-            monkeypatch.setattr(simulate, "_BLOCK_VALUES", default if rows is None else rows * s.n)
-            for threads in (1, 2, 3):
-                assert _dumps(run(s, width_threshold=1.0, threads=threads)) == want, (rows, threads)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", rows * s.n)
+            assert _dumps(run(s, width_threshold=1.0)) == want, rows
 
     def test_bonferroni_matches_band_calls(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 5 * 33)
@@ -246,9 +241,9 @@ class TestBlocks:
 
     @staticmethod
     def _check_against_band_calls(monkeypatch, s):
-        """``run`` at ``threads`` 1 and 2 against a per-row
-        ``bonferroni_band`` of the full draw; returns the number of values
-        that ``run`` mapped through the quantile."""
+        """``run`` against a per-row ``bonferroni_band`` of the full draw;
+        returns the number of values that ``run`` mapped through the
+        quantile."""
         bands = [
             bonferroni_band(s.truth + s.sigma * gaussian_draw(s.seed, rep, s.n), s.alpha, s.sigma)
             for rep in range(s.reps)
@@ -261,11 +256,9 @@ class TestBlocks:
             return quantile(u)
 
         monkeypatch.setattr(simulate, "normal_quantile", counting)
-        reports = [run(s, width_threshold=1.0, threads=threads) for threads in (1, 2)]
-        assert _dumps(reports[0]) == _dumps(reports[1])
-        for report in reports:
-            assert report.true_coverage == report.surrogate_coverage == covered / s.reps
-            assert np.array_equal(report.widths, [b.width for b in bands])
+        report = run(s, width_threshold=1.0)
+        assert report.true_coverage == report.surrogate_coverage == covered / s.reps
+        assert np.array_equal(report.widths, [b.width for b in bands])
         return sum(mapped)
 
     @pytest.mark.parametrize("n", [1, 7, 64])
@@ -378,7 +371,7 @@ class TestRunMatchesBandCalls:
         truth = make_spoiler(scale.levels[0], tuning.eps2[0], tuning.eps_inf[0], 0.5)
         candidates = [c.values for c in surrogate_set(scale, truth, tuning)]
         s = Scenario(kind="adaptive", truth=truth, reps=300, seed=21, scale=scale, params=params)
-        report = run(s, threads=2)
+        report = run(s)
 
         def covers(band, g):
             return bool(np.all((band.lower <= g) & (g <= band.upper)))
@@ -412,7 +405,7 @@ class TestRunMatchesBandCalls:
         candidates = [c.values for c in surrogate_set(scale, truth, tuning)]
         assert (len(candidates) > 1) == case.endswith("spoiler")
         s = Scenario(kind="adaptive", truth=truth, reps=150, seed=22, scale=scale, params=params)
-        report = run(s, threads=2)
+        report = run(s)
 
         def covers(band, g):
             return bool(np.all((band.lower <= g) & (g <= band.upper)))
@@ -566,12 +559,6 @@ class TestScenarioValidation:
             Scenario(kind="bonferroni", truth=np.zeros(8), reps=0, seed=1, alpha=0.1, sigma=1.0)
         with pytest.raises(DomainError):
             Scenario(kind="bonferroni", truth=np.zeros(8), reps=10, seed=-1, alpha=0.1, sigma=1.0)
-
-    def test_bad_threads(self):
-        with pytest.raises(DomainError):
-            run(_adaptive_scenario(reps=10), threads=0)
-        with pytest.raises(DomainError):
-            run(_adaptive_scenario(reps=10), threads=True)
 
     @pytest.mark.parametrize("threshold", [True, False, "1.0"])
     def test_width_threshold_must_be_a_number(self, threshold):

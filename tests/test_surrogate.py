@@ -112,6 +112,26 @@ class TestSurrogateSet:
         assert len(candidates) == 1
         assert candidates[0].tags == ("identity",)
 
+    def test_each_level_projected_once(self, monkeypatch):
+        # Level 1 is a spoiler level and level 2 is not; the candidate is the
+        # projection that the spoiler test already made.
+        scale = _exact_scale()
+        tuning = SurrogateTuning(eps2=(0.4, 0.1), eps_inf=(0.25, 0.25))
+        want = scale.levels[0].project(_F_TIE)
+        calls = []
+        original = Subspace._project
+
+        def counting(space, y):
+            calls.append(scale.levels.index(space) + 1)
+            return original(space, y)
+
+        monkeypatch.setattr(Subspace, "_project", counting)
+        proj, ident = surrogate_set(scale, _F_TIE, tuning)
+        assert sorted(calls) == [1, 2]
+        assert proj.tags == ("projection:1",)
+        assert np.array_equal(proj.values.view(np.int64), want.view(np.int64))
+        assert np.array_equal(ident.values, _F_TIE)
+
 
 class TestClassify:
     def test_spoiler(self):

@@ -8,8 +8,9 @@ tests catch both here, check that a run draws and walks one block of
 replications per call, and catch a drift of the draw from the fingerprint
 ``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
 also keep the numeric argument checks, and the type checks of structured
-arguments, in ``specfun``, their one home, and keep the package free of
-thread and process pools: Monte Carlo runs are serial.
+arguments, in ``specfun``, their one home, keep the package free of thread
+and process pools (Monte Carlo runs are serial) and keep it from reading
+environment variables.
 """
 
 import ast
@@ -52,8 +53,7 @@ def test_every_wrapped_name_resolves():
 
 
 def _draw_calls(monkeypatch, name, scenario):
-    """The ``(rep, count)`` of each call ``run`` makes to ``simulate.<name>``,
-    at ``threads`` 1 and then 2."""
+    """The ``(rep, count)`` of each call ``run`` makes to ``simulate.<name>``."""
     calls = []
     original = getattr(simulate, name)
 
@@ -63,22 +63,17 @@ def _draw_calls(monkeypatch, name, scenario):
 
     monkeypatch.setattr(simulate, name, counting)
     simulate.run(scenario)
-    serial = calls.copy()
-    calls.clear()
-    simulate.run(scenario, threads=2)
-    return serial, sorted(calls)
+    return calls
 
 
 def test_run_draws_one_block_per_call(monkeypatch):
     # The traced run times the draw layer by wrapping simulate.gaussian_draw;
     # adaptive and subspace runs must call it by that module name, once per
-    # block of replications, and on the same blocks whatever the thread count.
+    # block of replications.
     rows = simulate._BLOCK_VALUES // 64
     s = Scenario(kind="subspace", truth=np.zeros(64), reps=2 * rows + 5, seed=1,
                  space=dyadic_blocks(64, 4), alpha=0.1, sigma=1.0)
-    serial, threaded = _draw_calls(monkeypatch, "gaussian_draw", s)
-    assert serial == [(0, rows), (rows, rows), (2 * rows, 5)]
-    assert threaded == serial
+    assert _draw_calls(monkeypatch, "gaussian_draw", s) == [(0, rows), (rows, rows), (2 * rows, 5)]
 
 
 def test_bonferroni_run_makes_one_uniform_block_per_call(monkeypatch):
@@ -86,14 +81,12 @@ def test_bonferroni_run_makes_one_uniform_block_per_call(monkeypatch):
     # one block at a time, on the block grid of every other run.
     rows = simulate._BLOCK_VALUES // 64
     s = Scenario(kind="bonferroni", truth=np.zeros(64), reps=2 * rows + 5, seed=1, alpha=0.1, sigma=1.0)
-    serial, threaded = _draw_calls(monkeypatch, "_words", s)
-    assert serial == [(0, rows), (rows, rows), (2 * rows, 5)]
-    assert threaded == serial
+    assert _draw_calls(monkeypatch, "_words", s) == [(0, rows), (rows, rows), (2 * rows, 5)]
 
 
 def test_run_walks_one_block_per_call(monkeypatch):
     # An adaptive run makes one band step per drawn block: the plan's block
-    # walk sees each block once, whatever the thread count.
+    # walk sees each block once.
     calls = []
     original = bands._Plan.walk
 
@@ -109,9 +102,6 @@ def test_run_walks_one_block_per_call(monkeypatch):
     s = Scenario(kind="adaptive", truth=np.zeros(64), reps=reps, seed=1, scale=scale, params=params)
     simulate.run(s)
     assert calls == [rows, rows, 5]
-    calls.clear()
-    simulate.run(s, threads=2)  # the serial run's blocks
-    assert sorted(calls) == [5, rows, rows]
 
 
 RUN = TRACING.parent / "run.py"
@@ -183,4 +173,18 @@ def test_package_imports_no_pool():
             found += [
                 f"{path.name}:{node.lineno}: {name}" for name in names if name.partition(".")[0] in _CONCURRENCY
             ]
+    assert not found, found
+
+
+def test_package_reads_no_environment():
+    # The package's behaviour is set by its arguments, flags and config files
+    # only; a settings variable can come back only by changing this test on
+    # purpose.
+    found = [
+        f"{path.name}:{number}: {word}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for word in ("environ", "getenv")
+        if word in line
+    ]
     assert not found, found
