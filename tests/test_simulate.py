@@ -159,6 +159,22 @@ class TestRunDeterminism:
         b = json.dumps(run(s).to_dict(), sort_keys=True)
         assert a == b
 
+    def test_serial_matches_threaded(self):
+        # run itself is serial, but callers may run scenarios from several
+        # threads at once; the shared generator pool and quantile caches may
+        # not mix their streams.
+        s = _adaptive_scenario(reps=150)
+        serial = _dumps(run(s))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(run, s) for _ in range(3)]
+                reports = [_dumps(fut.result(timeout=120)) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [serial] * 3
+
     def test_uneven_chunks_match_serial(self, monkeypatch):
         # 22 blocks of 7 rows, the last one short, give the bytes of the
         # default grid's two blocks.
