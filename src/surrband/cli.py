@@ -298,11 +298,8 @@ def _build_scale(cfg: dict, n: int) -> NestedScale:
 
 def _build_params(cfg: dict, scale: NestedScale) -> BandParams:
     alpha, gamma, sigma = (float(cfg[k]) for k in ("alpha", "gamma", "sigma"))
-    m = scale.m
-    if "alphaSplit" in cfg:
-        split = tuple(float(v) for v in cfg["alphaSplit"])
-    else:
-        split = (alpha / (m + 1),) * (m + 1)
+    # Without alphaSplit, the library's equal split.
+    split = tuple(float(v) for v in cfg["alphaSplit"]) if "alphaSplit" in cfg else None
     tuning = cfg["tuning"]
     if "auto" in tuning:
         tuning = nested_tuning(
@@ -310,9 +307,11 @@ def _build_params(cfg: dict, scale: NestedScale) -> BandParams:
         )
     else:  # a number is shared by all levels
         eps2, eps_inf = (
-            v if type(v) is list else [v] * m for v in (tuning["eps2"], tuning["epsInf"])
+            v if type(v) is list else [v] * scale.m for v in (tuning["eps2"], tuning["epsInf"])
         )
         tuning = SurrogateTuning(eps2, eps_inf)
+    if split is None:
+        return BandParams.equal_split(alpha, gamma, sigma, tuning)
     return BandParams(alpha=alpha, gamma=gamma, sigma=sigma, tuning=tuning, alpha_split=split)
 
 

@@ -7,11 +7,11 @@ two cores a thread pool never made a benchmark workload faster.  Uniform
 draws are mapped to normals through the package's own deterministic
 bisection inverse of the Gaussian distribution function,
 :func:`~surrband.specfun.normal_quantile`.  It skips the exactly computed
-steps and stops each value once its bracket stops moving, which returns the
-bisection's values bit for bit, so this is still draw stream v1: the same
-seed gives the same noise as ever.  Each replication's Philox generator is
-a kept object reset to a kept state with only the replication index
-rewritten.
+steps and runs the rest in rounds of 5, 2 and 4 steps, the later rounds only
+on brackets still moving, which returns the bisection's values bit for bit,
+so this is still draw stream v1: the same seed gives the same noise as
+ever.  Each replication's Philox generator is a kept object reset to a kept
+state with only the replication index rewritten.
 
 Replications are cut into blocks on one grid, walked in order.  The
 noise of a block is drawn in one call, and one band step per block gives

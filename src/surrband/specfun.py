@@ -24,8 +24,9 @@ stream v1 of :mod:`surrband.simulate`, returns the result of its 64 bisection
 steps bit for bit with about 8 ``ndtr`` evaluations per value instead of 64:
 the first 48 to 53 steps compute without rounding, so their bracket is a cell
 of an exact grid, which ``scipy.special.ndtri`` guesses and the bisection's
-own test confirms at both ends; the rest run as written but stop where the
-bracket has stopped moving.  Its docstring gives the argument.
+own test confirms at both ends; the rest run in rounds of 5, 2 and 4 steps,
+the later rounds only on the brackets still moving.  Its docstring gives the
+argument.
 
 The chi-square layer is a validated call into ``scipy.special``: the central
 law through the regularized incomplete gamma function and its inverse, the
@@ -103,16 +104,6 @@ _CELL = 2.0 * _Z_BRACKET_VEC * 2.0**-48
 # are left after it.
 _TAIL_STEPS = 13
 _TAIL_STEPS_MIN = 11
-
-# A bracket of at least 38 ulps still has a double strictly inside after four
-# halvings, so none of its first five midpoints is one of its ends, and a
-# check for a stopped bracket before the sixth would find none.
-_FREE_STEPS = 5
-
-# Stopped values are taken out of the working set once at least this many
-# have stopped, which costs about as much as evaluating ndtr on as many values;
-# until then a step leaves them as they are.
-_COMPACT = 128
 
 
 def _require(cond: bool, message: str) -> None:
@@ -282,26 +273,52 @@ def normal_quantile(u):
     ends, ends in it too.  ``tests/test_specfun.py`` pins the example and
     scans every binade the cells use for reversals over 16 ulps.
 
-    The ``64 - s`` steps left run as written, except that an element stops
-    as soon as its midpoint equals an end of its bracket, which happens once
-    the ends are adjacent doubles.  Both ends have been tested (the lower
-    passes, the upper fails), so the step at that midpoint would leave the
-    bracket unchanged, and a step depends only on the bracket and ``u``, so
-    every later step would too: the midpoint is the result.  An element
-    still moving stops after exactly ``64 - s`` steps.  About six steps per
-    value remain, and about 8 ``ndtr`` evaluations per value in all.
+    The ``64 - s`` steps left run in three rounds: 5 steps on every value,
+    then 2 and then 4 more on the brackets whose midpoint is still neither
+    end, and no round once none is.  That is the plain bisection's result
+    because a bracket whose midpoint equals an end has stopped: both ends
+    have been tested (the lower passes, the upper fails), so the step at
+    that midpoint leaves the bracket as it is, and a step depends only on
+    the bracket and ``u``, so every later step does too.  The fallback's
+    bracket ``[r, r]`` is left as it is by every step as well.  A value
+    near the median (``|z| + 19 * 2^-48 < 1/2``, so ``s = 53``) has exactly
+    11 steps left, all of which the rounds run if its bracket stays open.
+    Every other cell spans 38 ulps, or at most 76 doubles where it straddles
+    a power of two, so after 7 steps its ends are adjacent doubles and it
+    has stopped.  About 8 ``ndtr`` evaluations per value remain.
     """
     u = np.asarray(u, dtype=np.float64)
     flat = u.reshape(-1)
-    return _finish(flat, *_cells(flat)).reshape(u.shape)[()]
+    lo, hi = _bisect(flat, *_cells(flat), 5)
+    mid = _midpoint(lo, hi)
+    for steps in (2, 4):
+        open_ = np.logical_and(lo != mid, hi != mid).nonzero()[0]
+        if not open_.size:
+            break
+        lo[open_], hi[open_] = _bisect(flat[open_], lo[open_], hi[open_], steps)
+        mid = _midpoint(lo, hi)
+    return mid.view(np.float64).reshape(u.shape)[()]
+
+
+def _midpoint(lo, hi):
+    """``0.5 * (lo + hi)`` of two arrays of bits, as bits."""
+    mid = lo.view(np.float64) + hi.view(np.float64)
+    mid *= 0.5
+    return mid.view(np.int64)
 
 
 def _bisect(u, lo, hi, steps):
+    """The brackets ``[lo, hi]`` of ``u`` after ``steps`` bisection steps,
+    with the ends given and returned as the bits of doubles."""
+    # A step moves lo to mid where ndtr(mid) < u and hi to mid elsewhere:
+    # xor-ing in the differences under a mask costs the same for any pattern
+    # of outcomes, which np.where does not.
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = special.ndtr(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        mid = _midpoint(lo, hi)
+        below = (special.ndtr(mid.view(np.float64)) < u).astype(np.int64)
+        np.negative(below, out=below)  # all ones where the test passes, else zero
+        lo = lo ^ ((lo ^ mid) & below)
+        hi = mid ^ ((mid ^ hi) & below)
     return lo, hi
 
 
@@ -331,8 +348,8 @@ def _locate(u, z, cell):
 
 
 def _cells(u):
-    """The bracket of each 1-d ``u`` after the exact bisection steps, and the
-    number of steps left."""
+    """The bracket of each 1-d ``u`` after the exact bisection steps, as the
+    bits of its ends."""
     # Above 1/2, ndtr rounds to the 2^-53 grid below 1, so ndtr(x) < u turns
     # false where the upper tail falls to (1 - u) + 2^-54, not to 1 - u.
     z = np.maximum(special.ndtri(np.minimum(u, (1.0 - u) + 2.0**-54)), -_Z_BRACKET_VEC)
@@ -342,70 +359,20 @@ def _cells(u):
     width += _CELL
     steps = width.view(np.int64) >> 52  # e + 1023
     steps -= 1023 - _TAIL_STEPS
-    np.maximum(steps, _TAIL_STEPS_MIN, out=steps)
+    np.maximum(steps, _TAIL_STEPS_MIN, out=steps)  # the 64 - s steps left
     cell = ((steps + (1023 - 64)) << 52).view(np.float64)  # 2^-s
     cell *= 19.0
     lo, hi, ok = _locate(u, z, cell)
+    lo, hi = lo.view(np.int64), hi.view(np.int64)
     full = (~ok).nonzero()[0]
     if full.size:
-        # The plain bisection, finished here: the early stop of _finish needs
-        # a bracket whose ends pass and fail the test, and neither cell tried
-        # was one.  A bracket [r, r] is left as it is by every step.
-        lo[full], hi[full] = _bisect(u[full], -_Z_BRACKET_VEC, _Z_BRACKET_VEC, 64)
-        lo[full] = hi[full] = 0.5 * (lo[full] + hi[full])
-    return lo, hi, steps
-
-
-def _midpoint(lo, hi):
-    """``0.5 * (lo + hi)`` of two arrays of bits, as bits."""
-    mid = lo.view(np.float64) + hi.view(np.float64)
-    mid *= 0.5
-    return mid.view(np.int64)
-
-
-def _finish(u, lo, hi, steps):
-    """The midpoints of the brackets ``[lo, hi]`` after ``steps`` more
-    bisection steps each, or fewer where a midpoint equals an end (a step
-    there, as every later one, would leave the bracket as it is)."""
-    # The ends and midpoints as bits.  A step moves lo to mid where
-    # ndtr(mid) < u and hi to mid elsewhere: xor-ing in the differences under
-    # a mask costs the same for any pattern of outcomes, which np.where does
-    # not.
-    lo, hi = lo.view(np.int64), hi.view(np.int64)
-    mid = _midpoint(lo, hi)
-    out = np.empty_like(u)
-    live = np.arange(u.size)
-    for step in range(int(steps.max(initial=0))):
-        lo_to_mid, mid_to_hi = lo ^ mid, mid ^ hi  # zero where mid is that end
-        if step >= _FREE_STEPS:
-            moving = np.logical_and(lo_to_mid, mid_to_hi)
-            if step >= _TAIL_STEPS_MIN:
-                moving &= steps > step
-            left = np.count_nonzero(moving)
-            if not left:
-                break
-            if live.size - left >= _COMPACT:
-                out[live] = mid.view(np.float64)
-                keep = moving.nonzero()[0]
-                live, u, lo, hi, mid, steps, lo_to_mid, mid_to_hi = (
-                    a[keep] for a in (live, u, lo, hi, mid, steps, lo_to_mid, mid_to_hi)
-                )
-            elif step >= _TAIL_STEPS_MIN:
-                lo_to_mid *= moving  # out of steps: no more moves
-                mid_to_hi *= moving
-        # All ones where ndtr(mid) - u is negative, that is where the test
-        # passes, else zero (u is finite wherever this can move a bracket).
-        below = special.ndtr(mid.view(np.float64))
-        below -= u
-        below = below.view(np.int64)
-        below >>= 63
-        lo_to_mid &= below
-        mid_to_hi &= below
-        lo ^= lo_to_mid
-        hi = mid ^ mid_to_hi
-        mid = _midpoint(lo, hi)
-    out[live] = mid.view(np.float64)
-    return out
+        # The plain bisection, finished here: the rounds of normal_quantile
+        # need a bracket whose ends pass and fail the test, and neither cell
+        # tried was one.
+        top = np.full(full.size, _Z_BRACKET_VEC)
+        a, b = _bisect(u[full], (-top).view(np.int64), top.view(np.int64), 64)
+        lo[full] = hi[full] = _midpoint(a, b)
+    return lo, hi
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -361,6 +361,16 @@ class TestGammaFeasible:
             adaptive_band_nested(scale, np.zeros(256), params)
 
 
+class TestLevelCountMismatch:
+    """Band parameters for another number of levels than the scale's."""
+
+    @pytest.mark.parametrize("call", [level_widths, min_feasible_gamma])
+    def test_refused(self, call):
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(dyadic_scale(16, [1, 4, 8]), 0.1, 0.2))
+        with pytest.raises(DomainError, match="params describe 3 levels, scale has 2"):
+            call(dyadic_scale(16, [1, 4]), params)
+
+
 class TestMinFeasibleGamma:
     def test_frozen_nested(self):
         scale, params = _nested_setup()

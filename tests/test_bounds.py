@@ -164,6 +164,23 @@ class TestRnLowerBound:
             assert lower <= 3.0 * half, n
 
 
+class TestRangeRefusals:
+    """Arguments each of the right type but outside the formula's range."""
+
+    @pytest.mark.parametrize(
+        "call, stem",
+        [
+            (lambda: w_target(1.5, 0.1, 0.1), r"omega must lie in \[0, 1\], got 1.5"),
+            (lambda: modulus(0.1, 1.0 + 2.0**-52, 16, 0.1, 0.1), r"omega must lie in \[0, 1\]"),
+            (lambda: lipschitz_rate(100, 1.0, 1.0, 0.1, 0.4), r"need eps < 1/2 - alpha"),
+            (lambda: lipschitz_rate(100, 1.0, 1.0, 0.3, 0.25), r"need eps < 1/2 - alpha"),
+        ],
+    )
+    def test_refused(self, call, stem):
+        with pytest.raises(DomainError, match=stem):
+            call()
+
+
 class TestLipschitzRate:
     def test_frozen(self):
         assert lipschitz_rate(10_000, 1.0, 1.0, 0.05, 0.05) == pytest.approx(0.05761763297034757, rel=1e-12)

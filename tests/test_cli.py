@@ -16,7 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from surrband import cli
+from surrband import (
+    BandParams,
+    Scenario,
+    adaptive_band_nested,
+    cli,
+    dyadic_scale,
+    nested_tuning,
+    run,
+)
 from surrband.cli import main
 
 
@@ -143,6 +151,19 @@ _REJECTED = [
      "constants", 2, "sigma"),
     # a sigma whose square overflows
     ({"procedure": "bonferroni", "sigma": 1.3407807929942597e154}, "simulate", 2, "sigma"),
+    # structure: level indices, lists, objects and subspaces
+    ({"widthThreshold": {"kind": "levelWidth", "level": 4}}, "simulate", 2,
+     "config.widthThreshold.level must be an integer in [1, 3]"),
+    ({"truth": {"kind": "spoiler", "margin": 1.0, "level": 3}}, "simulate", 2,
+     "config.truth.level must be an integer in [1, 2]"),
+    ({"subspace": {"kind": "dyadic", "dims": []}}, "simulate", 2,
+     "config.subspace.dims must be a nonempty list"),
+    ({"tuning": 0.5}, "band", 2, "config.tuning must be a JSON object"),
+    ({"subspace": 3}, "simulate", 2, "config.subspace must be a JSON object"),
+    ({"subspace": {"kind": "dyadic", "d": 2, "dims": [1, 2]}}, "band", 2,
+     "exactly one of 'd' or 'dims'"),
+    ({"subspace": {"kind": "dyadic", "dims": [1, 4]}}, "constants", 2,
+     "constants requires a single subspace, got 2 levels"),
 ]
 
 
@@ -350,6 +371,45 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.8 <= payload["trueCoverage"] <= 1.0
+
+
+class TestAlphaSplit:
+    """A valid ``alphaSplit`` gives what the library gives for
+    ``nested_tuning(alphas=split)`` with ``BandParams(alpha_split=split)``."""
+
+    SPLIT = [0.04, 0.04, 0.02]  # not the equal split of alpha = 0.1
+
+    def _params(self, scale, gamma, sigma, split):
+        tuning = nested_tuning(scale, 0.1, gamma, sigma, alphas=split)
+        if split is None:
+            return BandParams.equal_split(0.1, gamma, sigma, tuning)
+        return BandParams(alpha=0.1, gamma=gamma, sigma=sigma, tuning=tuning, alpha_split=split)
+
+    def test_band(self, tmp_path):
+        cfg = _band_config(gamma=0.3, tuning={"auto": "achievable"}, alphaSplit=self.SPLIT)
+        out = tmp_path / "band.csv"
+        assert main(["band", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = np.array(
+            [[float(v) for v in line.split(",")] for line in out.read_text().split("\n")[1:-1]]
+        )
+        sidecar = json.loads((tmp_path / "band.csv.json").read_text())
+        scale = dyadic_scale(8, [1, 2])
+        params = self._params(scale, 0.3, 0.5, tuple(self.SPLIT))
+        band = adaptive_band_nested(scale, np.array(cfg["y"]), params)
+        assert np.array_equal(rows[:, 1], band.lower) and np.array_equal(rows[:, 3], band.upper)
+        assert sidecar == json.loads(json.dumps({**band.to_dict(), "config": cfg}))
+        # The split reaches the caps: they differ from the equal split's.
+        assert self._params(scale, 0.3, 0.5, None).tuning != params.tuning
+
+    def test_simulate(self, tmp_path, capsys):
+        cfg = _simulate_config(alphaSplit=self.SPLIT, reps=50)
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("config") == cfg
+        scale = dyadic_scale(32, [1, 4])
+        params = self._params(scale, 0.2, 1.0, tuple(self.SPLIT))
+        report = run(Scenario(kind="adaptive", truth=np.zeros(32), reps=50, seed=5, scale=scale, params=params))
+        assert payload == json.loads(json.dumps(report.to_dict()))
 
 
 class TestParser:

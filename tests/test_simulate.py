@@ -569,6 +569,19 @@ class TestScenarioValidation:
     def test_truth_length_checked(self):
         with pytest.raises(DomainError):
             _adaptive_scenario(truth=np.zeros(16))
+        with pytest.raises(DomainError, match="truth has length 8 but the subspace grid is 16"):
+            Scenario(kind="subspace", truth=np.zeros(8), reps=10, seed=1, alpha=0.1, sigma=1.0,
+                     space=dyadic_blocks(16, 2))
+
+    @pytest.mark.parametrize("kind", ["bonferroni", "subspace"])
+    @pytest.mark.parametrize("missing", ["alpha", "sigma"])
+    def test_alpha_and_sigma_required(self, kind, missing):
+        given = {"alpha": 0.1, "sigma": 1.0}
+        del given[missing]
+        if kind == "subspace":
+            given["space"] = dyadic_blocks(8, 2)
+        with pytest.raises(DomainError, match=f"{kind} scenarios need alpha= and sigma="):
+            Scenario(kind=kind, truth=np.zeros(8), reps=10, seed=1, **given)
 
     def test_bad_reps_and_seed(self):
         with pytest.raises(DomainError):

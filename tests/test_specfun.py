@@ -9,7 +9,9 @@ round-tripping through the CDF and against frozen reference values.
 plain 64-step bisection that defines draw stream v1, on the generator's stream
 and on the binade edges of its exact cells, and the premise of its shortcut
 (no reversal of ``ndtr`` spans a cell) is scanned for in every binade the
-cells use.  Every entry point rejects a bool or a str.
+cells use, as is the premise of its fixed tail schedule (a cell with more
+than 11 steps left stops within 7).  Every entry point rejects a bool or a
+str.
 """
 
 import math
@@ -213,6 +215,7 @@ class TestNormalQuantileMatchesBisection:
     def test_philox_stream(self, monkeypatch):
         # Every value of the stream is served by its guessed cell or the one
         # next to it: the plain bisection, the last fallback, never runs.
+        # (_bisect also runs the last steps from a cell, in shorter calls.)
         runs = []
         real = specfun._bisect
         monkeypatch.setattr(specfun, "_bisect", lambda *args: runs.append(args[-1]) or real(*args))
@@ -222,7 +225,7 @@ class TestNormalQuantileMatchesBisection:
             assert_bits_equal(normal_quantile(u), bisection_quantile(u))
             total += u.size
         assert total >= 10**6
-        assert runs == []
+        assert 64 not in runs
 
     def test_last_word_takes_its_cell(self, monkeypatch):
         # The uniform of the last 53-bit word rounds to exactly 1.0.  Its
@@ -236,7 +239,7 @@ class TestNormalQuantileMatchesBisection:
         got = normal_quantile(u)
         assert_bits_equal(got, bisection_quantile(u))
         assert_bits_equal(got, np.array([8.292361075813595]))
-        assert runs == []
+        assert 64 not in runs
 
     def test_binade_edges_of_the_cells(self):
         # The fine cells change width where |z| crosses a power of two: the
@@ -250,8 +253,8 @@ class TestNormalQuantileMatchesBisection:
 
     def test_at_most_10_ndtr_evaluations_per_value(self, monkeypatch):
         # The plain bisection makes 64 and the cells of the first 48 steps
-        # left 18 on this stream; the fine cells and the early stop leave
-        # about 8.
+        # left 18 on this stream; the fine cells and the rounds of 5, 2 and
+        # 4 steps after them leave about 8.
         real = specfun.special.ndtr
         seen = []
 
@@ -313,9 +316,8 @@ class TestNormalQuantileMatchesBisection:
         monkeypatch.setattr(specfun, "_bisect", spy)
         got = normal_quantile(u)
         assert_bits_equal(got, want)
-        assert [steps for steps, _ in runs] == [64] * full_runs
-        if full_runs:
-            assert runs[0][1] == u.size
+        full = [size for steps, size in runs if steps == 64]
+        assert full == [u.size] * full_runs
 
     def test_scalar_and_zero_d_input(self):
         for u in (0.3, 0.5, 0.975, 2.0**-54, np.float64(0.7), np.array(0.1)):
@@ -339,9 +341,71 @@ class TestFirstStageBracket:
         grids = [philox_uniforms((20261019, rep), 2**16) for rep in range(4)]
         grids += [np.array([2.0**-54, 1.0 - 2.0**-54])] + edge_grids()
         for u in grids:
-            lo, hi, _ = specfun._cells(u)
+            lo, hi = (bits.view(np.float64) for bits in specfun._cells(u))
             q = normal_quantile(u)
             assert np.all(lo <= q) and np.all(q <= hi)
+
+
+def straddling_uniforms():
+    """Every double ``u`` whose root lies near ``+-2^e``, e = -1..3: from
+    ``|z| = 2^e - 2 * 19 * 2^-48`` to ``2^e + 19 * 2^-48``, where the cells
+    of binade e reach below ``2^e`` and hold up to 76 doubles."""
+    out = []
+    for e in range(-1, 4):
+        for sign in (-1.0, 1.0):
+            z = sign * np.array([2.0**e - 2 * specfun._CELL, 2.0**e + specfun._CELL])
+            ends = np.sort(special.ndtr(z)).view(np.int64)
+            out.append(np.arange(ends[0], ends[1] + 1).view(np.float64))
+    return np.concatenate(out)
+
+
+class TestTailSchedule:
+    """``normal_quantile`` runs the steps after the cells in rounds of 5, 2
+    and 4, each on the brackets still open; its docstring gives the premise."""
+
+    def test_cells_with_more_than_11_steps_left_close_within_7(self):
+        u = np.concatenate([straddling_uniforms(), philox_uniforms((20261020, 0), 2**16)])
+        lo, hi = specfun._cells(u)
+        lo_f, hi_f = lo.view(np.float64), hi.view(np.float64)
+        left = 64 + np.log2((hi_f - lo_f) / 19.0)  # 64 - s, exact
+        doubles = np.abs(hi - lo)  # both ends have one sign here
+        straddle = np.frexp(np.abs(lo_f))[1] != np.frexp(np.abs(hi_f))[1]
+        # Each power of two 1/2 .. 8 is straddled, on the negative side at
+        # least, by cells of more than 38 doubles.
+        assert set(np.frexp(-lo_f[straddle & (hi_f < 0)])[1] - 1) == set(range(-1, 4))
+        assert np.all(left[straddle] > 11)
+        assert 38 < doubles[straddle].max() <= 76
+        lo7, hi7 = specfun._bisect(u, lo, hi, 7)
+        mid = specfun._midpoint(lo7, hi7)
+        still_open = (lo7 != mid) & (hi7 != mid)
+        assert not np.any(still_open & (left > 11))
+        # Open after 7 steps are only values near the median, with 11 left.
+        assert np.all(left[still_open] == 11)
+        assert np.all(np.abs(mid.view(np.float64)[still_open]) + specfun._CELL < 0.5)
+
+    def test_straddling_and_median_values_match_the_bisection(self):
+        # The cells that take the most steps to close, and the values near
+        # the median, whose last 4 steps only the third round runs.
+        rng = np.random.default_rng(20261020)
+        half = np.float64(0.5).view(np.int64)
+        groups = [
+            straddling_uniforms(),
+            (half + np.arange(-(2**18), 2**18)).view(np.float64),  # the doubles nearest 1/2
+            rng.uniform(special.ndtr(-0.5), special.ndtr(0.5), 2**19),
+        ]
+        for u in groups:
+            assert_bits_equal(normal_quantile(u), bisection_quantile(u))
+        assert sum(u.size for u in groups) >= 10**6
+
+    @pytest.mark.parametrize("u", [0.5 + 2.0**-53, 0.5 - 2.0**-54, 0.5 - 2.0**-40])
+    def test_one_value_near_one_half(self, u):
+        # The bracket is still open after all 11 steps left: the result is
+        # its midpoint then, with no further step, also for a call of one.
+        lo, hi = specfun._bisect(np.array([u]), *specfun._cells(np.array([u])), 11)
+        mid = specfun._midpoint(lo, hi)
+        assert lo[0] != mid[0] != hi[0]
+        assert_bits_equal(normal_quantile(np.array([u])), bisection_quantile(np.array([u])))
+        assert_bits_equal(normal_quantile(u), bisection_quantile(u))
 
 
 def _longest_reversal(x, width):
@@ -372,17 +436,16 @@ class TestNdtrReversals:
 
     def test_fine_cells_span_at_least_38_ulps(self):
         # A root in binade e (2^e <= |z| + 19 * 2^-48 < 2^(e+1)) gets the
-        # cell of s = min(51 - e, 53) exact steps, 64 - s steps after it, and
-        # a lower end that passes the test and an upper end that fails it.
+        # cell of s = min(51 - e, 53) exact steps, and a lower end that passes
+        # the test and an upper end that fails it.
         z = np.array([2.0**e * 1.125 for e in range(-44, 3)] + [8.1])
         u = special.ndtr(np.concatenate([z, -z]))
-        lo, hi, steps = specfun._cells(u)
+        lo, hi = (bits.view(np.float64) for bits in specfun._cells(u))
         e = np.frexp(np.abs(bisection_quantile(u)) + specfun._CELL)[1] - 1
         assert set(range(-10, 4)) <= set(e)
         s = np.minimum(51 - e, 53)
         assert np.all(hi - lo == 19.0 * 2.0**-s)
         assert np.all(hi - lo >= 38 * np.spacing(2.0**e))
-        assert np.all(steps == 64 - s)
         assert np.all(special.ndtr(lo) < u) and not np.any(special.ndtr(hi) < u)
         # Every multiple of the cell below 2^(e+1) has at most 52 significant
         # bits, so the steps up to it were exact.

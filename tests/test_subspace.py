@@ -286,6 +286,29 @@ class TestFunctionBasis:
             function_basis(16, [lambda x: x, lambda x: 2.0 * x])
 
 
+class TestShapeRefusals:
+    """Bases, rows and function lists of a shape no subspace has."""
+
+    @pytest.mark.parametrize(
+        "call, stem",
+        [
+            (lambda: Subspace(np.ones(4)), r"basis must be 2-d \(rows x grid\), got shape \(4,\)"),
+            (lambda: Subspace(np.ones((1, 2, 2))), r"basis must be 2-d"),
+            (lambda: Subspace(np.eye(3)[:, :2]), r"basis shape \(3, 2\) is not valid"),
+            (lambda: Subspace(np.ones((0, 4))), r"basis shape \(0, 4\) is not valid"),
+            (lambda: orthonormalize(np.ones(4)), r"expected a nonempty 2-d array of rows"),
+            (lambda: orthonormalize(np.ones((0, 4))), r"expected a nonempty 2-d array of rows"),
+            (lambda: orthonormalize(np.ones((2, 0))), r"expected a nonempty 2-d array of rows"),
+            (lambda: function_basis(8, []), r"need at least one basis function"),
+            (lambda: function_basis(8, [lambda x: x[:3]]), r"must each return 8 values"),
+            (lambda: NestedScale(()), r"a nested scale needs at least one level"),
+        ],
+    )
+    def test_refused(self, call, stem):
+        with pytest.raises(DomainError, match=stem):
+            call()
+
+
 class TestNestedScale:
     def test_valid_dyadic_chain(self):
         scale = dyadic_scale(256, [1, 4, 16])

@@ -176,6 +176,14 @@ class TestSurrogateTuningValidation:
             SurrogateTuning(eps2=(), eps_inf=())
 
 
+class TestLevelCountMismatch:
+    @pytest.mark.parametrize("call", [selected_levels, surrogate_set, classify])
+    def test_refused(self, call):
+        tuning = SurrogateTuning(eps2=(0.1, 0.1, 0.1), eps_inf=(0.1, 0.1, 0.1))
+        with pytest.raises(DomainError, match="tuning has 3 levels but the scale has 2"):
+            call(_exact_scale(), np.zeros(4), tuning)
+
+
 class TestOptimalTuning:
     def test_lower_bound_radius_frozen(self):
         s = dyadic_blocks(256, 4)

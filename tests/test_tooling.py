@@ -9,8 +9,9 @@ replications per call, and catch a drift of the draw from the fingerprint
 ``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
 also keep the numeric argument checks, and the type checks of structured
 arguments, in ``specfun``, their one home, keep the package free of thread
-and process pools (Monte Carlo runs are serial) and keep it from reading
-environment variables.
+and process pools (Monte Carlo runs are serial), keep it from reading
+environment variables, and keep ``specfun`` to one loop that steps the
+normal quantile's bisection brackets.
 """
 
 import ast
@@ -188,3 +189,33 @@ def test_package_reads_no_environment():
         if word in line
     ]
     assert not found, found
+
+
+# Functions of specfun whose for loops evaluate ndtr: the one bisection loop
+# of the normal quantile, and z_upper, the scalar tail quantile of the band
+# widths, which bisects Python floats and returns at an exact hit.
+_NDTR_LOOPS = {"_bisect", "z_upper"}
+
+
+def test_one_bisection_loop_in_specfun():
+    # normal_quantile's last steps and its 64-step fallback both run
+    # _bisect; a second loop that steps brackets can come back only by
+    # changing this test on purpose.
+    source = (PACKAGE / "specfun.py").read_text()
+    assert "_finish" not in source
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for loop in ast.walk(function):
+            if not isinstance(loop, ast.For):
+                continue
+            for node in ast.walk(loop):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "ndtr"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "special"
+                ):
+                    found.add(function.name)
+    assert found == _NDTR_LOOPS, found
