@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .specfun import (
-    _finite, _instance, _nonnegative, _positive, _probability, _sigma, _size, kappa, tau_inv,
+    _alpha_gamma, _finite, _instance, _nonnegative, _positive, _probability, _sigma, _size, kappa,
+    tau_inv,
 )
 from .subspace import Subspace
 
@@ -37,12 +38,12 @@ def w_target(omega: float, alpha: float, gamma: float, sigma: float = 1.0) -> fl
 
     This is the sup-norm width scale forced on any procedure with coverage
     level ``alpha`` and narrowness level ``gamma`` over a subspace with
-    leverage ``omega``.
+    leverage ``omega``; it needs ``0 < gamma < 1 - 2*alpha``.
     """
     omega = _nonnegative("omega", omega)
     if omega > 1.0:
         raise DomainError(f"omega must lie in [0, 1], got {omega!r}")
-    alpha, gamma = _probability("alpha", alpha), _probability("gamma", gamma)
+    alpha, gamma = _alpha_gamma(alpha, gamma)
     sigma = _sigma("sigma", sigma)
     return omega * sigma * tau_inv(1.0 - 2.0 * alpha - gamma)
 
@@ -113,6 +114,7 @@ def surrogate_lower_bound(
         raise DomainError(f"the lower bound requires d < n; got d={d}, n={n}")
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     sigma = _sigma("sigma", sigma)
+    alpha, gamma = _alpha_gamma(alpha, gamma)
     wf = w_target(space.omega, alpha, gamma, sigma)
     v0 = min(math.sqrt(n) * eps2, eps_inf, sigma * tau_inv(1.0 - 2.0 * alpha - gamma))
     v2 = sigma * v2_term(n, d, alpha, gamma)

@@ -51,6 +51,7 @@ from .errors import DomainError, FeasibilityError
 from .simulate import Scenario, make_spoiler, run
 from .specfun import econst, kappa, qconst, tau_inv
 from .subspace import (
+    DesignGrid,
     NestedScale,
     Subspace,
     cosine_basis,
@@ -374,9 +375,8 @@ def _cmd_band(cfg: dict, args) -> int:
     y = np.asarray(cfg["y"], dtype=np.float64)
     scale = _build_scale(cfg, y.shape[0])
     band = adaptive_band_nested(scale, y, _build_params(cfg, scale))
-    x = np.arange(1, scale.n + 1, dtype=np.float64) / scale.n
     lines = ["x,lower,center,upper"]
-    for xi, lo, ce, up in zip(x, band.lower, band.center, band.upper):
+    for xi, lo, ce, up in zip(DesignGrid(scale.n).x, band.lower, band.center, band.upper):
         lines.append(f"{float(xi)!r},{float(lo)!r},{float(ce)!r},{float(up)!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     return _emit(band.to_dict(), cfg, args.out + ".json")

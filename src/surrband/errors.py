@@ -28,12 +28,9 @@ class DomainError(SurrbandError, ValueError):
 class RankDeficiencyError(DomainError):
     """A basis row is (numerically) linearly dependent on earlier rows."""
 
-    def __init__(self, row: int, message: str | None = None):
+    def __init__(self, row: int):
         self.row = int(row)
-        super().__init__(
-            message
-            or f"row {self.row} is numerically dependent on the preceding rows"
-        )
+        super().__init__(f"row {self.row} is numerically dependent on the preceding rows")
 
 
 class FeasibilityError(SurrbandError):

@@ -10,8 +10,8 @@ bisection inverse of the Gaussian distribution function,
 steps and runs the rest in rounds of 5, 2 and 4 steps, the later rounds only
 on brackets still moving, which returns the bisection's values bit for bit,
 so this is still draw stream v1: the same seed gives the same noise as
-ever.  Each replication's Philox generator is a kept object reset to a kept
-state with only the replication index rewritten.
+ever.  Each replication's Philox generator is a kept object reset to
+numpy's own fresh state with the key rewritten to ``(seed, rep)``.
 
 Replications are cut into blocks on one grid, walked in order.  The
 noise of a block is drawn in one call, and one band step per block gives
@@ -201,9 +201,9 @@ class SimReport:
         }
 
 
-# Philox objects not in use, each paired with the state it is reset to: that
-# of a new Philox(key=key), counter zero and buffer empty, whose key is
-# rewritten for each row.  Resetting a kept object from a kept state is
+# Philox objects not in use, each paired with the state it is reset to:
+# numpy's own state of a new Philox, counter zero and buffer empty, whose key
+# is rewritten for each row.  Resetting a kept object from a kept state is
 # cheaper than building either anew.  ``run`` draws on the calling thread
 # only, but library callers may call ``gaussian_draw`` from threads of their
 # own: list pop/append are atomic, so each draw running at a time holds its
@@ -262,14 +262,7 @@ def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
         bitgen, state = _IDLE_PHILOX.pop()
     except IndexError:
         bitgen = np.random.Philox(0)
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state = bitgen.state
     key = state["state"]["key"]
     key[0] = seed % 2**64
     for i, row in enumerate(raw):

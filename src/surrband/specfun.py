@@ -49,6 +49,7 @@ number (``int``, ``float`` or a numpy integer or float, but never a ``bool``
 or a ``str``); ``_finite``, ``_positive``, ``_nonnegative`` and
 ``_probability`` (the open interval (0, 1)) add a range; ``_sigma`` is a
 positive noise level whose square neither underflows to 0 nor overflows;
+``_alpha_gamma(alpha, gamma)`` checks ``0 < gamma < 1 - 2*alpha`` as well;
 ``_finite_array`` makes a rectangular array of kind ``i``, ``u`` or ``f``
 with finite entries a float64 array and refuses booleans, strings and
 objects; ``_instance(name, v, cls)`` checks the type of a structured
@@ -200,6 +201,17 @@ def _size(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _alpha_gamma(alpha, gamma) -> tuple[float, float]:
+    """``alpha`` in (0, 1) and ``gamma`` with ``0 < gamma < 1 - 2*alpha``: the
+    levels of :func:`kappa` and of the width ``tau_inv(1 - 2*alpha - gamma)``."""
+    alpha, gamma = _probability("alpha", alpha), _number("gamma", gamma)
+    _require(
+        0.0 < gamma < 1.0 - 2.0 * alpha,
+        f"gamma must lie in (0, 1 - 2*alpha); got alpha={alpha!r}, gamma={gamma!r}",
+    )
+    return alpha, gamma
+
+
 def _instance(name: str, value, cls: type):
     """``value`` itself, if it is an instance of ``cls``: the structured
     arguments (a subspace, a scale, a tuning, band parameters, a scenario)
@@ -322,34 +334,11 @@ def _bisect(u, lo, hi, steps):
     return lo, hi
 
 
-def _test(u, lo, hi):
-    """Whether the bisection's test ``ndtr(x) < u`` passes at ``lo`` and fails
-    at ``hi``, and whether it passes at ``lo``."""
-    low = special.ndtr(lo) < u
-    return low & ~(special.ndtr(hi) < u), low
-
-
-def _locate(u, z, cell):
-    """The bisection's bracket ``[lo, hi]`` when its ends are multiples of
-    ``cell``: the one that holds ``z``, or its neighbour towards the root where
-    the test fails; and whether the test passes on it."""
-    lo = np.floor(z / cell) * cell
-    hi = lo + cell
-    ok, low = _test(u, lo, hi)
-    off = (~ok).nonzero()[0]
-    if off.size:
-        step = cell[off]
-        # Up where the lower end passed (so the upper end passed too), else
-        # down, but never below the bracket.
-        lo[off] = np.where(low[off], hi[off], np.maximum(lo[off] - step, -_Z_BRACKET_VEC))
-        hi[off] = lo[off] + step
-        ok[off] = _test(u[off], lo[off], hi[off])[0]
-    return lo, hi, ok
-
-
 def _cells(u):
     """The bracket of each 1-d ``u`` after the exact bisection steps, as the
-    bits of its ends."""
+    bits of its ends: the fine cell guessed from ``ndtri``, or its neighbour,
+    where the test confirms it at both ends, and otherwise ``[r, r]`` for the
+    result ``r`` of the plain 64-step bisection."""
     # Above 1/2, ndtr rounds to the 2^-53 grid below 1, so ndtr(x) < u turns
     # false where the upper tail falls to (1 - u) + 2^-54, not to 1 - u.
     z = np.maximum(special.ndtri(np.minimum(u, (1.0 - u) + 2.0**-54)), -_Z_BRACKET_VEC)
@@ -362,13 +351,24 @@ def _cells(u):
     np.maximum(steps, _TAIL_STEPS_MIN, out=steps)  # the 64 - s steps left
     cell = ((steps + (1023 - 64)) << 52).view(np.float64)  # 2^-s
     cell *= 19.0
-    lo, hi, ok = _locate(u, z, cell)
+    # The bisection's test ndtr(x) < u must pass at lo and fail at hi.  Where
+    # it does not on the cell of z, move one cell towards the root: up where
+    # lo passed (so hi passed too), else down, but never below the bracket.
+    lo = np.floor(z / cell) * cell
+    hi = lo + cell
+    low = special.ndtr(lo) < u
+    ok = low & ~(special.ndtr(hi) < u)
+    off = (~ok).nonzero()[0]
+    if off.size:
+        step, v = cell[off], u[off]
+        lo[off] = np.where(low[off], hi[off], np.maximum(lo[off] - step, -_Z_BRACKET_VEC))
+        hi[off] = lo[off] + step
+        ok[off] = (special.ndtr(lo[off]) < v) & ~(special.ndtr(hi[off]) < v)
     lo, hi = lo.view(np.int64), hi.view(np.int64)
     full = (~ok).nonzero()[0]
     if full.size:
         # The plain bisection, finished here: the rounds of normal_quantile
-        # need a bracket whose ends pass and fail the test, and neither cell
-        # tried was one.
+        # need ends that pass and fail the test, as neither cell tried had.
         top = np.full(full.size, _Z_BRACKET_VEC)
         a, b = _bisect(u[full], (-top).view(np.int64), top.view(np.int64), 64)
         lo[full] = hi[full] = _midpoint(a, b)
@@ -472,12 +472,7 @@ def kappa(alpha: float, gamma: float) -> float:
 
     Defined for ``0 < alpha < 1`` and ``0 < gamma < 1 - 2*alpha``.
     """
-    alpha = _probability("alpha", alpha)
-    gamma = _number("gamma", gamma)
-    _require(
-        0.0 < gamma < 1.0 - 2.0 * alpha,
-        f"gamma must lie in (0, 1 - 2*alpha); got alpha={alpha!r}, gamma={gamma!r}",
-    )
+    alpha, gamma = _alpha_gamma(alpha, gamma)
     delta = 1.0 - gamma - 2.0 * alpha
     return (2.0 * math.log1p(4.0 * delta * delta)) ** 0.25
 

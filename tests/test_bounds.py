@@ -174,6 +174,12 @@ class TestRangeRefusals:
             (lambda: modulus(0.1, 1.0 + 2.0**-52, 16, 0.1, 0.1), r"omega must lie in \[0, 1\]"),
             (lambda: lipschitz_rate(100, 1.0, 1.0, 0.1, 0.4), r"need eps < 1/2 - alpha"),
             (lambda: lipschitz_rate(100, 1.0, 1.0, 0.3, 0.25), r"need eps < 1/2 - alpha"),
+            # 1 - 2*alpha - gamma is exactly 0 here: the boundary is refused,
+            # as in kappa
+            (lambda: w_target(1.0, 0.25, 0.5),
+             r"gamma must lie in \(0, 1 - 2\*alpha\); got alpha=0.25, gamma=0.5"),
+            (lambda: surrogate_lower_bound(dyadic_blocks(16, 2), 0.1, 0.1, 0.5, 0.1),
+             r"gamma must lie in \(0, 1 - 2\*alpha\); got alpha=0.5, gamma=0.1"),
         ],
     )
     def test_refused(self, call, stem):

@@ -18,6 +18,7 @@ import pytest
 
 from surrband import (
     BandParams,
+    DesignGrid,
     Scenario,
     adaptive_band_nested,
     cli,
@@ -104,6 +105,7 @@ _SUBSPACE = {
 _BASES = {
     "constants": _constants_config(),
     "band": _band_config(),
+    "bounds": _constants_config(tuning={"auto": "achievable"}),
     "adaptive": _simulate_config(),
     "bonferroni": _BONFERRONI,
     "subspace": _SUBSPACE,
@@ -164,6 +166,14 @@ _REJECTED = [
      "exactly one of 'd' or 'dims'"),
     ({"subspace": {"kind": "dyadic", "dims": [1, 4]}}, "constants", 2,
      "constants requires a single subspace, got 2 levels"),
+    # alpha and gamma with 1 - 2*alpha - gamma < 0: the message names both
+    # config keys
+    ({"alpha": 0.5, "gamma": 0.1, "tuning": {"auto": "achievable"}}, "band", 2,
+     "gamma must lie in (0, 1 - 2*alpha); got alpha=0.5, gamma=0.1"),
+    ({"alpha": 0.5, "gamma": 0.1, "tuning": {"auto": "achievable"}}, "bounds", 2,
+     "gamma must lie in (0, 1 - 2*alpha); got alpha=0.5, gamma=0.1"),
+    ({"alpha": 0.5, "gamma": 0.1, "tuning": {"auto": "achievable"}}, "simulate", 2,
+     "gamma must lie in (0, 1 - 2*alpha); got alpha=0.5, gamma=0.1"),
 ]
 
 
@@ -233,6 +243,16 @@ class TestBand:
         assert sidecar["selectedLevel"] in (1, 2, 3)
         assert len(sidecar["tStats"]) == 2
         assert sidecar["config"]["sigma"] == 0.5
+
+    @pytest.mark.parametrize("n", [7, 256])
+    def test_csv_x_is_the_design_grid(self, tmp_path, n):
+        # The x column is DesignGrid(n).x bit for bit, written with repr.
+        y = [math.sin(3.0 * i / n) for i in range(1, n + 1)]
+        cfg = _write_config(tmp_path, _band_config(y=y, subspace={"kind": "cosine", "d": 2}))
+        out = tmp_path / "band.csv"
+        assert main(["band", "--config", cfg, "--out", str(out)]) == 0
+        xs = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+        assert xs == [repr(float(x)) for x in DesignGrid(n).x]
 
     def test_csv_floats_round_trip(self, tmp_path):
         # repr-formatted floats must parse back to the exact doubles.

@@ -95,6 +95,17 @@ class TestGaussianDraw:
         gaussian_draw(seed + 1, rep + 1, 3 * n)  # leave a used generator behind
         assert np.array_equal(gaussian_draw(seed, rep, n), want)
 
+    def test_block_at_the_end_of_the_key_range_matches_new_generators(self):
+        # Both key words near 2**64 - 1, with a used generator left in the
+        # pool: each row's kept state must take the row's whole key.
+        gaussian_draw(3, 5, 40)  # leave a used generator behind
+        block = gaussian_draw(2**64 - 1, 2**64 - 3, 33, 3)
+        for i, row in enumerate(block):
+            key = np.array([2**64 - 1, 2**64 - 3 + i], dtype=np.uint64)
+            raw = np.random.Philox(key=key).random_raw(33)
+            want = normal_quantile((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+            assert np.array_equal(row, want)
+
     def test_concurrent_draws_match_serial(self):
         # Threads share the idle-generator list; a generator handed to two
         # threads at once would mix their streams.  More workers than cores

@@ -11,18 +11,23 @@ also keep the numeric argument checks, and the type checks of structured
 arguments, in ``specfun``, their one home, keep the package free of thread
 and process pools (Monte Carlo runs are serial), keep it from reading
 environment variables, and keep ``specfun`` to one loop that steps the
-normal quantile's bisection brackets.
+normal quantile's bisection brackets.  One test checks that
+``tools/report_digests.py`` hashes the report that each of its keys names.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from surrband import BandParams, Scenario, bands, dyadic_blocks, dyadic_scale, nested_tuning, simulate
+from surrband import (
+    BandParams, Scenario, bands, cli, dyadic_blocks, dyadic_scale, nested_tuning, simulate,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -219,3 +224,23 @@ def test_one_bisection_loop_in_specfun():
                 ):
                     found.add(function.name)
     assert found == _NDTR_LOOPS, found
+
+
+DIGESTS = TRACING.parents[1] / "tools" / "report_digests.py"
+
+
+def test_report_digests_match_direct_runs(tmp_path):
+    # tools/report_digests.py keys each report of its 90-report matrix by
+    # workload, seed, reps and --threads; an entry must be the SHA-256 of
+    # the report that surrband simulate writes for that key.
+    spec = importlib.util.spec_from_file_location("report_digests", DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    matrix = list(tool.cases())
+    assert len({key for key, *_ in matrix}) == 90
+    key = "bonferroni-64/seed=2/reps=7/threads=2"
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(tool.workloads.make_config(tool.workloads.WORKLOADS["bonferroni-64"], 2, 7)))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out), "--threads", "2"]) == 0
+    case = [c for c in matrix if c[0] == key]
+    assert tool.digests(case) == {key: hashlib.sha256(out.read_bytes()).hexdigest()}
