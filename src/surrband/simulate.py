@@ -2,37 +2,32 @@
 
 Replications are driven by a counter-based generator (Philox) keyed by
 ``(seed, replication index)``: every replication's noise depends only on the
-seed and its own index, never on execution order.  Runs are serial: on
-two cores a thread pool never made a benchmark workload faster.  Uniform
-draws are mapped to normals through the package's own deterministic
-bisection inverse of the Gaussian distribution function,
-:func:`~surrband.specfun.normal_quantile`.  It skips the exactly computed
-steps and runs the rest in rounds of 5, 2 and 4 steps, the later rounds only
-on brackets still moving, which returns the bisection's values bit for bit,
-so this is still draw stream v1: the same seed gives the same noise as
-ever.  Each replication's Philox generator is a kept object reset to
-numpy's own fresh state with the key rewritten to ``(seed, rep)``.
+seed and its own index, never on execution order.  Each replication's
+Philox generator is a kept object reset to numpy's own fresh state with the
+key rewritten to ``(seed, rep)``.  Uniform draws are mapped to normals by
+the package's own deterministic bisection inverse of the Gaussian
+distribution function, :func:`~surrband.specfun.normal_quantile`, bit for bit
+the 64-step bisection: this is draw stream v1, the same noise as ever.
 
-Replications are cut into blocks on one grid, walked in order.  The
-noise of a block is drawn in one call, and one band step per block gives
-each row a centre and a half-width: the projection of the block for a
-subspace run, or the block walk of the private band plan of
-:mod:`surrband.bands` for an adaptive run.  The surrogate candidates
-(outside the adaptive procedure, the truth alone) are then checked against
-the bands of the whole block in one comparison.  There is no
-per-replication Python loop, and each row has the same bits as a single
-draw and a single band call.
+Each procedure has one set-up, done once per run, and one block step (see
+:func:`_step`).  Replications are cut into blocks on one grid and walked in
+order, serially, one step per block.  An adaptive or subspace step draws
+the noise of its block in one call, gives each row a centre and a
+half-width (the block walk of the private band plan of :mod:`surrband.bands`,
+or the projection of the block), and checks the rows' bands against the
+surrogate candidates (outside the adaptive procedure, the truth alone) in
+one comparison.  There is no per-replication Python loop, and each row has
+the same bits as a single draw and a single band call.
 
 A Bonferroni report depends on the noise only through one yes/no per
 coordinate, and that answer is a window of the Philox words.  The v1
-quantile, a bisection, never decreases as its uniform grows, nor does the
-uniform as its word grows, and with ``sigma > 0`` monotone IEEE rounding
-carries that order through the noisy value and the band's two comparisons.
-So the words whose draw the band covers at a coordinate form one interval
-``[lo, hi]``, found once per run for each distinct truth value (see
-:func:`_bonferroni_window`).  A Bonferroni block so keys Philox and compares
-integers; it maps no uniform through the quantile.  The draw stream is
-unchanged, and the report has the bytes of the full draw.
+quantile never decreases as its uniform grows, nor does the uniform as its
+word grows, and with ``sigma > 0`` monotone IEEE rounding carries that
+order through the noisy value and the band's two comparisons.  So the
+words whose draw the band covers at a coordinate form one interval
+``[lo, hi]``, found in the set-up for each distinct truth value (see
+:func:`_bonferroni_window`), and a Bonferroni step keys Philox and compares
+integers.  The report has the bytes of the full draw.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -145,10 +140,6 @@ class Scenario:
                     raise DomainError(
                         f"truth has length {truth.shape[0]} but the subspace grid is {self.space.n}"
                     )
-
-    @property
-    def noise_sigma(self) -> float:
-        return self.params.sigma if self.kind == "adaptive" else self.sigma
 
     @property
     def n(self) -> int:
@@ -341,75 +332,84 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
     return first[:m][index], first[m:][index] - 1
 
 
+def _step(scenario: Scenario):
+    """``(step, truth)``: the block step of ``scenario``'s procedure, its
+    set-up done here once, and the index of the truth among the candidates.
+
+    ``step(start, count)`` gives, for replications ``start`` on, the
+    ``(count, c)`` coverage of the ``c`` candidates, the widths (one float
+    where all rows share it) and the accepted levels (``None`` outside the
+    adaptive procedure).
+    """
+    f, n, seed = scenario.truth, scenario.n, scenario.seed
+    if scenario.kind == "bonferroni":
+        half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
+        lo, hi = _bonferroni_window(f, scenario.sigma, half)
+
+        def words_step(start, count):  # the truth is the one candidate
+            k = _words(seed, start, n, count)
+            return ((k >= lo) & (k <= hi)).all(axis=1)[:, None], 2.0 * half, None
+
+        return words_step, 0
+
+    if scenario.kind == "adaptive":
+        plan, sigma = _plan(scenario.scale, scenario.params), scenario.params.sigma
+        found = surrogate_set(scenario.scale, f, scenario.params.tuning)
+        # The candidate tagged "identity" equals f, so its coverage is the truth's.
+        truth = next(i for i, c in enumerate(found) if "identity" in c.tags)
+        candidates = np.stack([c.values for c in found])
+
+        def band(block):
+            levels, center, half = plan.walk(block)
+            return center[:, None], half[:, None, None], 2.0 * half, levels
+    else:
+        space, sigma = scenario.space, scenario.sigma
+        half, width = _subspace_half_width(space, scenario.alpha, sigma, scenario.per_coordinate)
+        # Outside the adaptive procedure the only surrogate candidate is the truth.
+        candidates, truth = f[None], 0
+
+        def band(block):  # subspace_band's arithmetic, row by row
+            return space._project_rows(block)[:, None], half, width, None
+
+    def step(start, count):
+        center, half, widths, levels = band(f + sigma * gaussian_draw(seed, start, n, count))
+        # Rows against every candidate in one (k, c, n) comparison.
+        covered = (center - half <= candidates) & (candidates <= center + half)
+        return covered.all(axis=2), widths, levels
+
+    return step, truth
+
+
 def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimReport:
     """Execute the Monte Carlo and aggregate coverage/width statistics.
 
-    Replications are cut into blocks of ``max(1, _BLOCK_VALUES // n)``,
-    starting at the multiples of that size, and walked in order on the
-    calling thread; each block is one noise draw, one band step and one
-    coverage comparison.  A Bonferroni run first finds each coordinate's
-    window of covered Philox words, and a block then takes only the words
-    and compares them with the windows; its report is byte-identical to that
-    of the full draw.  Adaptive scenarios are checked for feasibility once
-    up front (raising :class:`~surrband.errors.FeasibilityError` before any
-    sampling).
+    The procedure's set-up runs once (:func:`_step`): the band plan and the
+    surrogate candidates of an adaptive run, which so fails its feasibility
+    check (:class:`~surrband.errors.FeasibilityError`) before any sampling,
+    the half-width of a subspace run, the half-width and word windows of a
+    Bonferroni run.  Replications are then cut into blocks of
+    ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of that size,
+    and walked in order on the calling thread, one block step each.
     """
     _instance("scenario", scenario, Scenario)
     if width_threshold is not None:
         width_threshold = _finite("width_threshold", width_threshold)
 
-    f = scenario.truth
-    n = scenario.n
-    sigma = scenario.noise_sigma
-    reps = scenario.reps
-    seed = scenario.seed
-    rows = max(1, _BLOCK_VALUES // n)
-
-    # Outside the adaptive procedure the only surrogate candidate is the truth.
-    plan = space = None
-    candidates, truth = f[None], 0
-    if scenario.kind == "adaptive":
-        plan = _plan(scenario.scale, scenario.params)
-        candidates = surrogate_set(scenario.scale, f, scenario.params.tuning)
-        # The candidate tagged "identity" equals f, so its coverage is the truth's.
-        truth = next(i for i, c in enumerate(candidates) if "identity" in c.tags)
-        candidates = np.stack([c.values for c in candidates])
-    elif scenario.kind == "bonferroni":
-        fixed_half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
-        width = 2.0 * fixed_half
-        lo, hi = _bonferroni_window(f, sigma, fixed_half)
-    else:
-        space = scenario.space
-        fixed_half, width = _subspace_half_width(space, scenario.alpha, scenario.sigma, scenario.per_coordinate)
+    reps, seed = scenario.reps, scenario.seed
+    rows = max(1, _BLOCK_VALUES // scenario.n)
+    step, truth = _step(scenario)
 
     widths = np.empty(reps, dtype=np.float64)
-    cover_true = np.zeros(reps, dtype=bool)
-    cover_surr = np.zeros(reps, dtype=bool)
-    levels = None if plan is None else np.zeros(reps, dtype=np.int64)
+    cover_true, cover_surr = np.zeros((2, reps), dtype=bool)
+    levels = np.zeros(reps, dtype=np.int64)
 
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        if scenario.kind == "bonferroni":
-            # The truth is the one candidate, so both coverages are its own.
-            k = _words(seed, start, n, stop - start)
-            cover_true[start:stop] = cover_surr[start:stop] = ((k >= lo) & (k <= hi)).all(axis=1)
-            widths[start:stop] = width
-            continue
-        block = f + sigma * gaussian_draw(seed, start, n, stop - start)
-        if plan is None:
-            # subspace_band's arithmetic, row by row.
-            center = space._project_rows(block)
-            half = fixed_half
-            widths[start:stop] = width
-        else:
-            levels[start:stop], center, half = plan.walk(block)
-            widths[start:stop] = 2.0 * half
-            half = half[:, None, None]
-        # Rows against every candidate in one (k, c, n) comparison.
-        center = center[:, None]
-        covered = ((center - half <= candidates) & (candidates <= center + half)).all(axis=2)
+        covered, widths[start:stop], block_levels = step(start, stop - start)
         cover_surr[start:stop] = covered.any(axis=1)
         cover_true[start:stop] = covered[:, truth]
+        if block_levels is not None:
+            levels[start:stop] = block_levels
 
     def rate(flags: np.ndarray) -> tuple[float, float]:
         p = float(np.count_nonzero(flags)) / reps
@@ -435,7 +435,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
         }
 
     level_histogram = None
-    if levels is not None:
+    if scenario.kind == "adaptive":
         top = scenario.scale.m + 1
         level_histogram = {
             str(j): int(np.count_nonzero(levels == j)) for j in range(1, top + 1)

@@ -387,6 +387,18 @@ class TestGoldenReports:
         )
         assert _digest(run(s)) == "9a38d33a37a292439d9352914114774b883218f9f7dd05e61f1eada9b2889ddf"
 
+    def test_subspace_blocks_one_half_width(self):
+        # Dyadic blocks project by block means (_Blocks._project_rows), and
+        # without per_coordinate the half-width is one scalar.
+        x = np.arange(1, 65) / 64
+        s = Scenario(
+            kind="subspace", truth=np.repeat(np.linspace(-1.0, 1.0, 8), 8) + 0.5 * np.sin(9.0 * x),
+            reps=400, seed=10, space=dyadic_blocks(64, 8), alpha=0.1, sigma=0.6,
+        )
+        report = run(s)
+        assert report.true_coverage == 0.87
+        assert _digest(report) == "131eeb701136d6f09ab5e4375332a87f70a2f08871656f0cb60bbeed046cf124"
+
 
 class TestRunMatchesBandCalls:
     def test_every_replication(self):

@@ -5,8 +5,9 @@ found in each owner's ``__dict__``, when a traced run starts; a name that the
 package no longer has there breaks that run only then, outside this suite,
 and a name that the package stops calling through silently reads 0.  These
 tests catch both here, check that a run draws and walks one block of
-replications per call, and catch a drift of the draw from the fingerprint
-``V1_DRAW`` with which ``perfbench/run.py`` recognises draw stream v1.  They
+replications per call and does its procedure's set-up once, and catch a
+drift of the draw from the fingerprint ``V1_DRAW`` with which
+``perfbench/run.py`` recognises draw stream v1.  They
 also keep the numeric argument checks, and the type checks of structured
 arguments, in ``specfun``, their one home, keep the package free of thread
 and process pools (Monte Carlo runs are serial), keep it from reading
@@ -24,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from surrband import (
     BandParams, Scenario, bands, cli, dyadic_blocks, dyadic_scale, nested_tuning, simulate,
@@ -108,6 +110,32 @@ def test_run_walks_one_block_per_call(monkeypatch):
     s = Scenario(kind="adaptive", truth=np.zeros(64), reps=reps, seed=1, scale=scale, params=params)
     simulate.run(s)
     assert calls == [rows, rows, 5]
+
+
+@pytest.mark.parametrize("kind, names", [
+    ("bonferroni", ("_bonferroni_window",)),
+    ("adaptive", ("_plan", "surrogate_set")),
+    ("subspace", ("_subspace_half_width",)),
+])
+def test_run_sets_up_once(monkeypatch, kind, names):
+    # A procedure's set-up runs once per run, not once per block: on a run of
+    # two full blocks and a partial one, each set-up call is made once.
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(simulate, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(simulate, name, counting)
+    rows = simulate._BLOCK_VALUES // 64
+    fields = {"alpha": 0.1, "sigma": 1.0}
+    if kind == "adaptive":
+        scale = dyadic_scale(64, [1, 4, 16])
+        fields = {"scale": scale, "params": BandParams.equal_split(0.1, 0.1, 1.0, nested_tuning(scale, 0.1, 0.1))}
+    elif kind == "subspace":
+        fields["space"] = dyadic_blocks(64, 4)
+    simulate.run(Scenario(kind=kind, truth=np.zeros(64), reps=2 * rows + 5, seed=1, **fields))
+    assert calls == dict.fromkeys(names, 1)
 
 
 RUN = TRACING.parent / "run.py"
@@ -230,17 +258,27 @@ DIGESTS = TRACING.parents[1] / "tools" / "report_digests.py"
 
 
 def test_report_digests_match_direct_runs(tmp_path):
-    # tools/report_digests.py keys each report of its 90-report matrix by
-    # workload, seed, reps and --threads; an entry must be the SHA-256 of
-    # the report that surrband simulate writes for that key.
+    # tools/report_digests.py keys each report of its 65-report matrix by
+    # case, seed and reps; an entry must be the SHA-256 of the report that
+    # surrband simulate writes for that key, for a workload and for a
+    # subspace-procedure case alike.
     spec = importlib.util.spec_from_file_location("report_digests", DIGESTS)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    matrix = list(tool.cases())
-    assert len({key for key, *_ in matrix}) == 90
-    key = "bonferroni-64/seed=2/reps=7/threads=2"
+    matrix = dict(tool.cases())
+    assert len(matrix) == 65
     config, out = tmp_path / "config.json", tmp_path / "report.json"
-    config.write_text(json.dumps(tool.workloads.make_config(tool.workloads.WORKLOADS["bonferroni-64"], 2, 7)))
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out), "--threads", "2"]) == 0
-    case = [c for c in matrix if c[0] == key]
-    assert tool.digests(case) == {key: hashlib.sha256(out.read_bytes()).hexdigest()}
+    expected = {}
+    for key, cfg in (
+        ("bonferroni-64/seed=2/reps=7", tool.workloads.make_config(tool.workloads.WORKLOADS["bonferroni-64"], 2, 7)),
+        ("subspace-dyadic-8/seed=3/reps=333", {
+            "version": 1, "procedure": "subspace", "n": 64, "alpha": 0.1, "sigma": 1.0,
+            "truth": {"kind": "zero"}, "reps": 333, "seed": 3,
+            "subspace": {"kind": "dyadic", "d": 8}, "perCoordinate": False,
+        }),
+    ):
+        assert matrix[key] == cfg
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        expected[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert tool.digests((key, matrix[key]) for key in expected) == expected

@@ -1,11 +1,16 @@
 """Print the SHA-256 of every report in the byte-identity matrix, as JSON.
 
-The matrix is 90 ``surrband simulate`` reports: the three workloads of
-``perfbench/workloads.py`` x workload seeds 1-5 x reps {the workload's
-default, 7, 333 (100 at n=4096)} x ``--threads`` 1 and 2.  Each report is
-made in-process by ``surrband.cli.main`` from the package under ``src/`` of
-the checkout this script sits in.  A change that keeps the draw stream and
-the band engine bit for bit leaves every digest as it was::
+The matrix is 65 ``surrband simulate`` reports:
+
+* the three workloads of ``perfbench/workloads.py`` x workload seeds 1-5 x
+  reps {the workload's default, 7, 333 (100 at n=4096)}: 45 reports;
+* the subspace procedure at n=64 with a zero truth, on a cosine subspace
+  of dimension 4 with per-coordinate half-widths and on 8 dyadic blocks
+  with one half-width, x seeds 1-5 x reps {7, 333}: 20 reports.
+
+Each report is made in-process by ``surrband.cli.main`` from the package
+under ``src/`` of the checkout this script sits in.  A change that keeps the
+draw stream and the band engine bit for bit leaves every digest as it was::
 
     python3 tools/report_digests.py > before.json     # on the old checkout
     python3 tools/report_digests.py --against before.json
@@ -28,7 +33,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SEEDS = range(1, 6)
-THREADS = (1, 2)
+# name: (subspace, perCoordinate) of each subspace-procedure case.
+SUBSPACES = {
+    "subspace-cosine-4": ({"kind": "cosine", "d": 4}, True),
+    "subspace-dyadic-8": ({"kind": "dyadic", "d": 8}, False),
+}
 
 
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
@@ -38,13 +47,19 @@ _SPEC.loader.exec_module(workloads)
 
 
 def cases():
-    """``(key, workload, seed, reps, threads)`` of every report in the matrix."""
+    """``(key, config)`` of every report in the matrix."""
     for w in workloads.WORKLOADS.values():
         for seed in SEEDS:
             for reps in (w.reps, 7, 100 if w.n == 4096 else 333):
-                for threads in THREADS:
-                    key = f"{w.name}/seed={seed}/reps={reps}/threads={threads}"
-                    yield key, w, seed, reps, threads
+                yield f"{w.name}/seed={seed}/reps={reps}", workloads.make_config(w, seed, reps)
+    for name, (subspace, per_coordinate) in SUBSPACES.items():
+        for seed in SEEDS:
+            for reps in (7, 333):
+                yield f"{name}/seed={seed}/reps={reps}", {
+                    "version": 1, "procedure": "subspace", "n": 64, "alpha": 0.1, "sigma": 1.0,
+                    "truth": {"kind": "zero"}, "reps": reps, "seed": seed,
+                    "subspace": subspace, "perCoordinate": per_coordinate,
+                }
 
 
 def digests(matrix) -> dict[str, str]:
@@ -56,10 +71,9 @@ def digests(matrix) -> dict[str, str]:
     found = {}
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
-        for key, w, seed, reps, threads in matrix:
-            config.write_text(json.dumps(workloads.make_config(w, seed, reps)))
-            argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", str(threads)]
-            if cli.main(argv) != 0:
+        for key, cfg in matrix:
+            config.write_text(json.dumps(cfg))
+            if cli.main(["simulate", "--config", str(config), "--out", str(out)]) != 0:
                 raise SystemExit(f"error: {key} exited with a nonzero code")
             found[key] = hashlib.sha256(out.read_bytes()).hexdigest()
     return found
