@@ -43,10 +43,12 @@ import numpy as np
 from .errors import DomainError, FeasibilityError
 from .specfun import (
     _LibraryRangeError,
+    _alpha_split,
+    _equal_split,
     _instance,
     _nonnegative,
-    _positive,
     _probability,
+    _require,
     _sigma,
     _size,
     chi2_cdf,
@@ -90,16 +92,7 @@ class BandParams:
         object.__setattr__(self, "gamma", _probability("gamma", self.gamma))
         object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
         _instance("tuning", self.tuning, SurrogateTuning)
-        split = tuple(_positive("alpha_split entries", a) for a in self.alpha_split)
-        if len(split) != self.tuning.m + 1:
-            raise DomainError(
-                f"alpha_split must have length m + 1 = {self.tuning.m + 1}, "
-                f"got {len(split)}"
-            )
-        if sum(split) > self.alpha * (1.0 + 1e-9) + 1e-15:
-            raise DomainError(
-                f"alpha_split sums to {sum(split)!r}, exceeding alpha={self.alpha!r}"
-            )
+        split = _alpha_split("alpha_split", self.alpha_split, self.alpha, self.tuning.m)
         object.__setattr__(self, "alpha_split", split)
 
     @classmethod
@@ -108,13 +101,7 @@ class BandParams:
     ) -> "BandParams":
         """Budget ``alpha`` equally over the ``m`` levels and the fallback."""
         m = _instance("tuning", tuning, SurrogateTuning).m
-        return cls(
-            alpha=alpha,
-            gamma=gamma,
-            sigma=sigma,
-            tuning=tuning,
-            alpha_split=(_probability("alpha", alpha) / (m + 1),) * (m + 1),
-        )
+        return cls(alpha, gamma, sigma, tuning, _equal_split(alpha, m))
 
     @property
     def m(self) -> int:
@@ -200,16 +187,15 @@ def _feasible_rhs(n: int, d: int, eps2: float, prob: float, sigma: float) -> flo
     so feasibility stays conservative.
     """
     n, d = _size("n", n, 1), _size("d", d, 0)
-    if not d < n:
-        raise DomainError(f"need 0 <= d < n; got d={d}, n={n}")
+    _require(d < n, f"need 0 <= d < n; got d={d}, n={n}")
     eps2, sigma = _nonnegative("eps2", eps2), _sigma("sigma", sigma)
     prob = _probability("probability budget", prob)
     ncp = n * eps2 * eps2 / (sigma * sigma)
-    if not math.isfinite(ncp):  # eps2^2 overflows (_sigma keeps sigma^2 finite)
-        raise DomainError(
-            f"the residual noncentrality n * eps2^2 / sigma^2 overflows at "
-            f"eps2={eps2!r}, sigma={sigma!r}"
-        )
+    _require(  # eps2^2 may overflow (_sigma keeps sigma^2 finite)
+        math.isfinite(ncp),
+        "the residual noncentrality n * eps2^2 / sigma^2 overflows at "
+        f"eps2={eps2!r}, sigma={sigma!r}",
+    )
     try:
         cutoff = chi2_quantile(prob, n - d, ncp)
     except _LibraryRangeError:

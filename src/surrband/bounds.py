@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .specfun import (
-    _alpha_gamma, _finite, _instance, _nonnegative, _positive, _probability, _sigma, _size, kappa,
-    tau_inv,
+    _alpha_eps, _alpha_gamma, _closed_unit, _finite, _instance, _nonnegative, _positive, _require,
+    _sigma, _size, kappa, tau_inv,
 )
 from .subspace import Subspace
 
@@ -40,9 +39,7 @@ def w_target(omega: float, alpha: float, gamma: float, sigma: float = 1.0) -> fl
     level ``alpha`` and narrowness level ``gamma`` over a subspace with
     leverage ``omega``; it needs ``0 < gamma < 1 - 2*alpha``.
     """
-    omega = _nonnegative("omega", omega)
-    if omega > 1.0:
-        raise DomainError(f"omega must lie in [0, 1], got {omega!r}")
+    omega = _closed_unit("omega", omega)
     alpha, gamma = _alpha_gamma(alpha, gamma)
     sigma = _sigma("sigma", sigma)
     return omega * sigma * tau_inv(1.0 - 2.0 * alpha - gamma)
@@ -59,8 +56,7 @@ def v2_term(n: int, d: int, alpha: float, gamma: float) -> float:
     ``sigma`` times this.
     """
     n, d = _size("n", n, 1), _size("d", d, 0)
-    if d > n:
-        raise DomainError(f"d must not exceed n; got d={d}, n={n}")
+    _require(d <= n, f"d must not exceed n; got d={d}, n={n}")
     return kappa(alpha, gamma) * (n - d) ** 0.25 / math.sqrt(n)
 
 
@@ -110,8 +106,7 @@ def surrogate_lower_bound(
     by ``c`` scales the report by ``c``.
     """
     n, d = _instance("space", space, Subspace).n, space.d
-    if d >= n:
-        raise DomainError(f"the lower bound requires d < n; got d={d}, n={n}")
+    _require(d < n, f"the lower bound requires d < n; got d={d}, n={n}")
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     sigma = _sigma("sigma", sigma)
     alpha, gamma = _alpha_gamma(alpha, gamma)
@@ -129,12 +124,9 @@ def rn_lower_bound(n: int, alpha: float, eps: float, sigma: float = 1.0) -> floa
 
     Valid for ``0 < eps < 1/2 - alpha`` and ``n * eps^2 > 1``.
     """
-    n, alpha, eps = _size("n", n, 1), _probability("alpha", alpha), _positive("eps", eps)
-    sigma = _sigma("sigma", sigma)
-    if not eps < 0.5 - alpha:
-        raise DomainError(f"need eps < 1/2 - alpha; got alpha={alpha!r}, eps={eps!r}")
-    if not n * eps * eps > 1.0:
-        raise DomainError(f"need n*eps^2 > 1; got n={n}, eps={eps!r}")
+    n, sigma = _size("n", n, 1), _sigma("sigma", sigma)
+    alpha, eps = _alpha_eps(alpha, eps)
+    _require(n * eps * eps > 1.0, f"need n*eps^2 > 1; got n={n}, eps={eps!r}")
     return (1.0 - 2.0 * alpha - 2.0 * eps) * sigma * math.sqrt(math.log(n * eps * eps))
 
 
@@ -147,18 +139,16 @@ def lipschitz_rate(n: int, lip: float, sigma: float, alpha: float, eps: float) -
     ``n * lip / sigma`` combinations).
     """
     n, lip, sigma = _size("n", n, 3), _positive("lip", lip), _sigma("sigma", sigma)
-    alpha, eps = _probability("alpha", alpha), _positive("eps", eps)
-    if not eps < 0.5 - alpha:
-        raise DomainError(f"need eps < 1/2 - alpha; got alpha={alpha!r}, eps={eps!r}")
+    alpha, eps = _alpha_eps(alpha, eps)
     logn = math.log(n)
     log_eps = math.log1p(eps * eps)
     log_ls = math.log(lip / (2.0 * sigma))
     inner = logn / 3.0 + log_eps + 2.0 * log_ls / 3.0
-    if inner <= 0.0:
-        raise DomainError(
-            "logarithmic correction is undefined here: "
-            f"(log n)/3 + log(1+eps^2) + (2/3)log(lip/(2 sigma)) = {inner!r} <= 0"
-        )
+    _require(
+        inner > 0.0,
+        "logarithmic correction is undefined here: "
+        f"(log n)/3 + log(1+eps^2) + (2/3)log(lip/(2 sigma)) = {inner!r} <= 0",
+    )
     lead = (logn / n) ** (1.0 / 3.0) * (lip * sigma * sigma / 2.0) ** (1.0 / 3.0)
     bracket = 1.0 + 3.0 * log_eps / logn + 2.0 * log_ls / logn - math.log(inner) / logn
     return lead * bracket
@@ -181,10 +171,10 @@ def besov_rate(n: int, p: float, xi: float) -> float:
     """
     n, p, xi = _size("n", n, 1), _positive("p", p), _finite("xi", xi)
     denom = 1.0 / p - xi - 0.5
-    if abs(denom) < 1e-12:
-        raise DomainError(
-            f"rate exponent degenerates: 1/p - xi - 1/2 = {denom!r} is too close to 0"
-        )
+    _require(
+        abs(denom) >= 1e-12,
+        f"rate exponent degenerates: 1/p - xi - 1/2 = {denom!r} is too close to 0",
+    )
     return float(n) ** (-1.0 / denom)
 
 
@@ -210,9 +200,7 @@ def modulus(
     ``u`` and ``eps2`` read in root-sum-of-squares units (no ``sqrt(n)``
     factors).
     """
-    u, omega = _nonnegative("u", u), _nonnegative("omega", omega)
-    if omega > 1.0:
-        raise DomainError(f"omega must lie in [0, 1], got {omega!r}")
+    u, omega = _nonnegative("u", u), _closed_unit("omega", omega)
     n = _size("n", n, 1)
     eps2, eps_inf = _nonnegative("eps2", eps2), _nonnegative("eps_inf", eps_inf)
     # the subspace piece and the residual piece of the extremal perturbation

@@ -60,10 +60,11 @@ from .specfun import (
     _count,
     _finite,
     _instance,
+    _left_open_unit,
     _nonnegative,
-    _number,
     _positive,
     _probability,
+    _require,
     _sigma,
     normal_quantile,
 )
@@ -469,9 +470,7 @@ def make_spoiler(space: Subspace, eps2: float, eps_inf: float, margin: float) ->
     """
     _instance("space", space, Subspace)
     eps2, eps_inf = _positive("eps2", eps2), _nonnegative("eps_inf", eps_inf)
-    margin = _number("margin", margin)
-    if not 0.0 < margin <= 1.0:
-        raise DomainError(f"margin must lie in (0, 1], got {margin!r}")
+    margin = _left_open_unit("margin", margin)
 
     profile = space.leverage_profile()
     i0 = int(np.argmax(profile))
@@ -479,16 +478,13 @@ def make_spoiler(space: Subspace, eps2: float, eps_inf: float, margin: float) ->
     spike[i0] = 1.0
     resid = spike - space.project(spike)
     peak = sup_norm(resid)
-    if peak < 1e-12:
-        raise DomainError(
-            f"coordinate {i0} lies inside the subspace; no spoiler direction exists"
-        )
+    _require(peak >= 1e-12, f"coordinate {i0} lies inside the subspace; no spoiler direction exists")
     direction = resid / peak
     h_max = eps2 / norm2(direction)
-    if not eps_inf < h_max:
-        raise DomainError(
-            f"eps_inf={eps_inf!r} is not below the reachable height "
-            f"h_max={h_max!r}; no spoiler exists at this tuning"
-        )
+    _require(
+        eps_inf < h_max,
+        f"eps_inf={eps_inf!r} is not below the reachable height "
+        f"h_max={h_max!r}; no spoiler exists at this tuning",
+    )
     h = eps_inf + margin * (h_max - eps_inf)
     return h * direction

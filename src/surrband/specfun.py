@@ -41,29 +41,33 @@ of being returned.
 
 Argument checks
 ---------------
-This module is the one home of the package's numeric argument checks; every
-other module validates through its private helpers.  Each takes
-``(name, value)``, returns the checked value and raises
-:class:`~surrband.errors.DomainError` otherwise.  ``_number`` takes any real
-number (``int``, ``float`` or a numpy integer or float, but never a ``bool``
-or a ``str``); ``_finite``, ``_positive``, ``_nonnegative`` and
-``_probability`` (the open interval (0, 1)) add a range; ``_sigma`` is a
-positive noise level whose square neither underflows to 0 nor overflows;
-``_alpha_gamma(alpha, gamma)`` checks ``0 < gamma < 1 - 2*alpha`` as well;
+This module is the one home of the package's numeric argument checks:
+every other module validates through its private helpers, which return the
+checked values and raise :class:`~surrband.errors.DomainError` otherwise.
+``_number(name, v)`` takes any real number (``int``, ``float`` or a numpy
+integer or float, never a ``bool`` or a ``str``).  The factory
+``_real(check_name, ok, expected)`` adds a range to it and makes every
+scalar check: ``_finite``, ``_positive``, ``_nonnegative``,
+``_probability`` ((0, 1)), ``_sigma`` (positive, with a square that neither
+underflows nor overflows), ``_closed_unit`` ([0, 1], a leverage),
+``_left_open_unit`` ((0, 1], a margin) and ``_right_open_unit`` ([0, 1)).
+The rules that tie levels together are written once: ``_alpha_gamma``
+(``0 < gamma < 1 - 2*alpha``), ``_alpha_eps`` (``0 < eps < 1/2 - alpha``),
+``_alpha_split`` (a coverage budget of ``m + 1`` positive entries summing
+to at most ``alpha``) and ``_equal_split`` (``alpha / (m + 1)`` each).
 ``_finite_array`` makes a rectangular array of kind ``i``, ``u`` or ``f``
-with finite entries a float64 array and refuses booleans, strings and
-objects; ``_instance(name, v, cls)`` checks the type of a structured
-argument such as a subspace, a scale or band parameters.  Integers follow
-one of two rules.  ``_count(name, v, minimum)`` takes a Python ``int`` only:
-replication keys, block counts, ``reps`` and ``seed``, whose sums are
-checked against 2**64, where a numpy integer would wrap.
-``_size(name, v, minimum)`` also takes numpy integers: grid sizes,
-dimensions and degrees of freedom.
+with finite entries a float64 array; ``_instance(name, v, cls)`` checks
+the type of a structured argument.  Integers follow one of two rules:
+``_count(name, v, minimum)`` takes a Python ``int`` only (replication keys,
+block counts, ``reps`` and ``seed``, whose sums are checked against 2**64,
+where a numpy integer would wrap); ``_size(name, v, minimum)`` also takes
+numpy integers (grid sizes, dimensions, degrees of freedom).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -115,7 +119,7 @@ def _require(cond: bool, message: str) -> None:
 # --- argument checks (see the module docstring) ---------------------------
 #
 # A band call runs some of these on every call, so the common case, a
-# ``float`` in range, costs one type test and a comparison: no ``isinstance``
+# ``float`` in range, costs one type test and the range test: no ``isinstance``
 # against numeric base classes, which cost about 1 us per call.
 
 _FLOAT64 = np.dtype(np.float64)
@@ -134,53 +138,33 @@ def _number(name: str, value) -> float:
         raise DomainError(f"{name} is beyond the double range") from None
 
 
-def _finite(name: str, value) -> float:
-    """A finite real number."""
-    if type(value) is not float:
-        value = _number(name, value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def _real(check_name: str, ok, expected: str):
+    """The check ``check_name(name, value)`` of a real number (``_number``) with
+    ``ok(value)``; any other raises ``"{name} must {expected}, got {value!r}"``."""
+
+    def check(name: str, value) -> float:
+        if type(value) is not float:
+            value = _number(name, value)
+        if not ok(value):
+            raise DomainError(f"{name} must {expected}, got {value!r}")
+        return value
+
+    check.__name__ = check.__qualname__ = check_name
+    return check
 
 
-def _positive(name: str, value) -> float:
-    """A finite real number above 0."""
-    if type(value) is not float:
-        value = _number(name, value)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _nonnegative(name: str, value) -> float:
-    """A finite real number of at least 0."""
-    if type(value) is not float:
-        value = _number(name, value)
-    if not 0.0 <= value < math.inf:
-        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
-    return value
-
-
-def _probability(name: str, value) -> float:
-    """A real number in the open interval (0, 1)."""
-    if type(value) is not float:
-        value = _number(name, value)
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
-    return value
-
-
-def _sigma(name: str, value) -> float:
-    """A noise level: positive, with a square that is a finite double above 0,
-    since the residual tests divide by ``sigma * sigma`` (it underflows below
-    about 1.57e-162 and overflows from about 1.34e154)."""
-    if type(value) is not float:
-        value = _number(name, value)
-    if not (value > 0.0 and 0.0 < value * value < math.inf):
-        raise DomainError(
-            f"{name} must be positive with a square that is finite and above 0, got {value!r}"
-        )
-    return value
+_finite = _real("_finite", math.isfinite, "be finite")
+_positive = _real("_positive", lambda v: 0.0 < v < math.inf, "be positive and finite")
+_nonnegative = _real("_nonnegative", lambda v: 0.0 <= v < math.inf, "be nonnegative and finite")
+_probability = _real("_probability", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+# A noise level: the residual tests divide by ``sigma * sigma``, which
+# underflows below about 1.57e-162 and overflows from about 1.34e154.
+_sigma = _real("_sigma", lambda v: v > 0.0 and 0.0 < v * v < math.inf,
+               "be positive with a square that is finite and above 0")
+# A leverage, a spoiler's margin and the argument of tau_inv.
+_closed_unit = _real("_closed_unit", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_left_open_unit = _real("_left_open_unit", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+_right_open_unit = _real("_right_open_unit", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
 def _count(name: str, value, minimum: int) -> int:
@@ -210,6 +194,36 @@ def _alpha_gamma(alpha, gamma) -> tuple[float, float]:
         f"gamma must lie in (0, 1 - 2*alpha); got alpha={alpha!r}, gamma={gamma!r}",
     )
     return alpha, gamma
+
+
+def _alpha_eps(alpha, eps) -> tuple[float, float]:
+    """``alpha`` in (0, 1) and ``eps`` with ``0 < eps < 1/2 - alpha``: the
+    levels of the rate bounds of :mod:`surrband.bounds`."""
+    alpha, eps = _probability("alpha", alpha), _positive("eps", eps)
+    _require(eps < 0.5 - alpha, f"need eps < 1/2 - alpha; got alpha={alpha!r}, eps={eps!r}")
+    return alpha, eps
+
+
+def _alpha_split(name: str, split, alpha, m: int) -> tuple[float, ...]:
+    """``split`` as a tuple of ``m + 1`` positive budgets, one per level and
+    one for the fallback, that sum to at most ``alpha`` (up to rounding)."""
+    alpha = _probability("alpha", alpha)
+    if not isinstance(split, (Sequence, np.ndarray)):
+        raise DomainError(
+            f"{name} must be a sequence of length m + 1 = {m + 1}, got {type(split).__name__}"
+        )
+    split = tuple(_positive(f"{name} entries", a) for a in split)
+    _require(len(split) == m + 1, f"{name} must have length m + 1 = {m + 1}, got {len(split)}")
+    _require(
+        sum(split) <= alpha * (1.0 + 1e-9) + 1e-15,
+        f"{name} sums to {sum(split)!r}, exceeding alpha={alpha!r}",
+    )
+    return split
+
+
+def _equal_split(alpha, m: int) -> tuple[float, ...]:
+    """The budget ``alpha`` split equally over ``m`` levels and the fallback."""
+    return (_probability("alpha", alpha) / (m + 1),) * (m + 1)
 
 
 def _instance(name: str, value, cls: type):
@@ -411,8 +425,7 @@ def tau(eps: float) -> float:
 def tau_inv(t: float) -> float:
     """Inverse of :func:`tau` on ``[0, 1)``: the interval length with
     two-sided Gaussian probability ``t``."""
-    t = _number("t", t)
-    _require(0.0 <= t < 1.0, f"t must lie in [0, 1), got {t!r}")
+    t = _right_open_unit("t", t)
     return 2.0 * z_upper((1.0 - t) / 2.0)
 
 

@@ -24,8 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import v2_term, w_target
-from .errors import DomainError
-from .specfun import _instance, _nonnegative, _positive, _probability, _sigma, econst
+from .specfun import (
+    _alpha_split, _equal_split, _instance, _nonnegative, _require, _sigma, econst,
+)
 from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
 
 __all__ = [
@@ -55,12 +56,11 @@ class SurrogateTuning:
     def __post_init__(self):
         eps2 = tuple(_nonnegative("eps2 entries", v) for v in _as_tuple(self.eps2))
         eps_inf = tuple(_nonnegative("eps_inf entries", v) for v in _as_tuple(self.eps_inf))
-        if len(eps2) != len(eps_inf):
-            raise DomainError(
-                f"eps2 and eps_inf must have equal length, got {len(eps2)} and {len(eps_inf)}"
-            )
-        if len(eps2) < 1:
-            raise DomainError("tuning needs at least one level")
+        _require(
+            len(eps2) == len(eps_inf),
+            f"eps2 and eps_inf must have equal length, got {len(eps2)} and {len(eps_inf)}",
+        )
+        _require(len(eps2) >= 1, "tuning needs at least one level")
         object.__setattr__(self, "eps2", eps2)
         object.__setattr__(self, "eps_inf", eps_inf)
 
@@ -121,10 +121,8 @@ def _spoilers(scale: NestedScale, f: np.ndarray, tuning: SurrogateTuning):
 
 def _check_scale_tuning(scale: NestedScale, tuning: SurrogateTuning) -> None:
     _instance("scale", scale, NestedScale)
-    if _instance("tuning", tuning, SurrogateTuning).m != scale.m:
-        raise DomainError(
-            f"tuning has {tuning.m} levels but the scale has {scale.m}"
-        )
+    m = _instance("tuning", tuning, SurrogateTuning).m
+    _require(m == scale.m, f"tuning has {m} levels but the scale has {scale.m}")
 
 
 def selected_levels(scale: NestedScale, f, tuning: SurrogateTuning) -> tuple[int, ...]:
@@ -211,13 +209,7 @@ def nested_tuning(
     m = _instance("scale", scale, NestedScale).m
     n = scale.n
     sigma = _sigma("sigma", sigma)
-    if alphas is None:
-        alphas = (_probability("alpha", alpha) / (m + 1),) * (m + 1)
-    alphas = tuple(_positive("alphas entries", a) for a in alphas)
-    if len(alphas) != m + 1:
-        raise DomainError(
-            f"alphas must have length m + 1 = {m + 1}, got {len(alphas)}"
-        )
+    alphas = _equal_split(alpha, m) if alphas is None else _alpha_split("alphas", alphas, alpha, m)
     eps2 = []
     eps_inf = []
     for j, space in enumerate(scale.levels):

@@ -34,12 +34,15 @@ from surrband import (
     chi2_cdf,
     chi2_quantile,
     econst,
+    dyadic_blocks,
     dyadic_scale,
     kappa,
     level_widths,
+    make_spoiler,
     max_inf_norm_given_two,
     min_feasible_gamma,
     min_two_norm_given_inf,
+    modulus,
     nested_tuning,
     normal_cdf,
     normal_quantile,
@@ -50,6 +53,7 @@ from surrband import (
     tau,
     tau_inv,
     v2_term,
+    w_target,
     z_upper,
 )
 
@@ -879,6 +883,75 @@ class TestArgumentChecks:
             call(16.0, 4)
         with pytest.raises(DomainError):
             call(16, True)
+
+
+# The inputs of the golden table below, and the outcome of each range check
+# on them: the returned number, or the message of the DomainError.  The table
+# was recorded before the checks were built by one factory
+# (``specfun._real``); the one change since is that an omega below 0, NaN or
+# infinite now reads "must lie in [0, 1]" instead of "must be nonnegative and
+# finite".
+_GOLDEN_INPUTS = (0.5, np.float32(0.5), 1, 0.0, -1.0, math.nan, math.inf, True, "1", 10**400)
+_GOLDEN_SPACE = dyadic_blocks(8, 2)
+
+
+def _refused(name, *ranged):
+    """The refusals that end a golden row: the range messages ``ranged``, then
+    those of the three inputs that are no real number in range of a double."""
+    return (*ranged, f"{name} must be a real number, got True",
+            f"{name} must be a real number, got '1'", f"{name} is beyond the double range")
+
+
+_SIGMA_RANGE = "x must be positive with a square that is finite and above 0, got "
+_OMEGA_RANGE = "omega must lie in [0, 1], got "
+_GOLDEN = {
+    "_finite": (lambda v: specfun._finite("x", v), (
+        0.5, 0.5, 1.0, 0.0, -1.0, *_refused("x", "x must be finite, got nan", "x must be finite, got inf"))),
+    "_positive": (lambda v: specfun._positive("x", v), (
+        0.5, 0.5, 1.0, *(f"x must be positive and finite, got {v}" for v in ("0.0", "-1.0", "nan", "inf")),
+        *_refused("x"))),
+    "_nonnegative": (lambda v: specfun._nonnegative("x", v), (
+        0.5, 0.5, 1.0, 0.0, *(f"x must be nonnegative and finite, got {v}" for v in ("-1.0", "nan", "inf")),
+        *_refused("x"))),
+    "_probability": (lambda v: specfun._probability("x", v), (
+        0.5, 0.5, *(f"x must lie in (0, 1), got {v}" for v in ("1.0", "0.0", "-1.0", "nan", "inf")),
+        *_refused("x"))),
+    "_sigma": (lambda v: specfun._sigma("x", v), (
+        0.5, 0.5, 1.0, *(_SIGMA_RANGE + v for v in ("0.0", "-1.0", "nan", "inf")), *_refused("x"))),
+    "w_target": (lambda v: w_target(v, 0.1, 0.1), (
+        1.0364333894937896, 1.0364333894937896, 2.072866778987579, 0.0,
+        *_refused("omega", *(_OMEGA_RANGE + v for v in ("-1.0", "nan", "inf"))))),
+    "modulus": (lambda v: modulus(0.5, v, 4, 0.1, 0.1), (
+        0.32360679774997897, 0.32360679774997897, 0.8071067811865476, 0.1,
+        *_refused("omega", *(_OMEGA_RANGE + v for v in ("-1.0", "nan", "inf"))))),
+    "make_spoiler": (lambda v: float(make_spoiler(_GOLDEN_SPACE, 1.0, 0.1, v)[0]), (
+        1.274744871391589, 1.274744871391589, 2.449489742783178,
+        *_refused("margin", *(f"margin must lie in (0, 1], got {v}"
+                              for v in ("0.0", "-1.0", "nan", "inf"))))),
+    "tau_inv": (tau_inv, (
+        1.3489795003921634, 1.3489795003921634, "t must lie in [0, 1), got 1.0", 0.0,
+        *_refused("t", *(f"t must lie in [0, 1), got {v}" for v in ("-1.0", "nan", "inf"))))),
+}
+
+
+class TestRangeChecksGolden:
+    """Each range check, and each range spelled through one (omega, margin,
+    ``t``), on the same ten inputs: the exact return or the exact message."""
+
+    @pytest.mark.parametrize("check", list(_GOLDEN))
+    def test_golden(self, check):
+        call, outcomes = _GOLDEN[check]
+        assert len(outcomes) == len(_GOLDEN_INPUTS)
+        for value, want in zip(_GOLDEN_INPUTS, outcomes):
+            if isinstance(want, str):
+                with pytest.raises(DomainError) as info:
+                    call(value)
+                assert str(info.value) == want, value
+                continue
+            got = call(value)
+            assert type(got) is float and got == want, value
+            if check.startswith("_"):  # the check itself: a float comes back as itself
+                assert (got is value) == (type(value) is float), value
 
 
 # A scale, its first level and its band parameters, for the wrong-typed rows

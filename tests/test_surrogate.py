@@ -13,6 +13,7 @@ import pytest
 from surrband import (
     INVARIANT,
     SPOILER,
+    BandParams,
     DomainError,
     NestedScale,
     Subspace,
@@ -260,6 +261,58 @@ class TestNestedTuning:
         # the leverage.
         assert t.eps_inf[1] == pytest.approx(2.0 * t.eps_inf[0], rel=1e-12)
         assert t.eps_inf[2] == pytest.approx(4.0 * t.eps_inf[0], rel=1e-12)
+
+
+# The scale and tuning of the split rule's tests: m = 2, so a split has 3
+# entries.
+_SPLIT_SCALE = dyadic_scale(64, [1, 4])
+_SPLIT_TUNING = nested_tuning(_SPLIT_SCALE, 0.1, 0.1)
+
+
+def _tuned_with(split):
+    return nested_tuning(_SPLIT_SCALE, 0.1, 0.1, alphas=split)
+
+
+def _params_with(split):
+    return BandParams(alpha=0.1, gamma=0.1, sigma=1.0, tuning=_SPLIT_TUNING, alpha_split=split)
+
+
+class TestSplitRule:
+    """``nested_tuning(alphas=)`` and ``BandParams(alpha_split=)`` check a
+    coverage split by one rule: a sequence of m + 1 positive entries whose
+    sum is at most alpha.  Each message names the argument it was given as."""
+
+    @pytest.mark.parametrize("split, message", [
+        # Before the rule, nested_tuning ran qconst on the 0.95 entry first
+        # and refused it as "beta must lie in (0, 1 - xi)".
+        ((0.05, 0.95, 0.05), "sums to 1.05, exceeding alpha=0.1"),
+        ((0.05, 0.05), "must have length m + 1 = 3, got 2"),
+        ([0.05, 0.0, 0.05], "entries must be positive and finite, got 0.0"),
+        (np.array([0.05, True, 0.05], dtype=object), "entries must be a real number, got True"),
+    ])
+    def test_same_refusal(self, split, message):
+        for name, call in (("alphas", _tuned_with), ("alpha_split", _params_with)):
+            with pytest.raises(DomainError) as info:
+                call(split)
+            assert str(info.value) == f"{name} {message}"
+
+    @pytest.mark.parametrize("name, call, split", [
+        ("alpha_split", _params_with, None),
+        ("alpha_split", _params_with, 0.05),
+        ("alphas", _tuned_with, 0.05),
+        ("alphas", _tuned_with, np.float64(0.05)),
+        ("alphas", _tuned_with, iter([0.03, 0.03, 0.03])),
+    ])
+    def test_not_a_sequence(self, name, call, split):
+        # These raised TypeError ("... is not iterable"), or an iterator was
+        # taken as a split; None means the equal split only to nested_tuning.
+        with pytest.raises(DomainError, match=rf"^{name} must be a sequence of length m \+ 1 = 3, got "):
+            call(split)
+
+    def test_within_budget_passes(self):
+        split = (0.04, 0.04, 0.02)
+        assert _params_with(list(split)).alpha_split == split
+        assert _tuned_with(np.array(split)) == _tuned_with(split)
 
 
 class TestTuningOnData:

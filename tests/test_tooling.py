@@ -171,6 +171,8 @@ _DELETED_CHECKS = (
 _CHECK_STEMS = (
     "must lie in (0, 1)", "must be positive", "must be nonnegative", "must be finite",
     "must be a Subspace", "must be a NestedScale", "must be a SurrogateTuning", "must be a BandParams",
+    "must lie in [0, 1]", "must lie in (0, 1]", "must lie in [0, 1)",
+    "need eps < 1/2 - alpha", "must have length m + 1", "exceeding alpha",
 )
 
 
@@ -186,6 +188,22 @@ def test_argument_checks_live_in_specfun():
                 if word in line
             ]
     assert not found, found
+
+
+def test_every_name_imported_from_specfun_is_used():
+    # A check that moved into specfun leaves no import behind it.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "specfun"
+            for alias in node.names
+            if alias.name != "*" and (alias.asname or alias.name) not in used
+        ]
+    assert not unused, unused
 
 
 # Top-level modules that start threads or processes.
