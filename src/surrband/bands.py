@@ -22,14 +22,14 @@ a private plan that :func:`adaptive_band_nested` and the Monte Carlo driver
 share; the half-widths come from the same private function as
 :func:`level_widths`.  The band call tests its one vector at every level, for
 the ``tStats`` it reports; a Monte Carlo run walks a block of replications at
-a time, each row only up to its first accepted level.  Both make the residual
-test of :func:`t_statistic`, the sum of squares divided by ``sigma^2`` against
-the cutoff, so every row has the bits of a band call.  A one-row block costs
-the numpy call overhead of the 2-d arrays, so the band call keeps its own
-one-vector path.
+a time, each row only up to its first accepted level.  Both project through
+the one ``_project`` of each subspace, which takes a vector or a block, and
+make the residual test of :func:`t_statistic`, the sum of squares divided by
+``sigma^2`` against the cutoff, so every row has the bits of a band call.
 
 :func:`bonferroni_band` and :func:`subspace_band` are the two non-adaptive
-baselines.
+baselines.  Each band function builds its band as ``center -/+ half`` through
+one private constructor, ``Band._around``, and differs only in what it passes.
 """
 
 from __future__ import annotations
@@ -128,6 +128,14 @@ class Band:
     accepted: bool | None
     t_stats: tuple[float, ...] = ()
     thresholds: tuple[float, ...] = ()
+
+    @classmethod
+    def _around(
+        cls, center: np.ndarray, half, width: float, selected_level=None, accepted=None, **scan
+    ) -> "Band":
+        """The band ``center -/+ half`` of design width ``width``; ``center``
+        is kept, so it must not share memory with the caller's data."""
+        return cls(center - half, center + half, center, width, selected_level, accepted, **scan)
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (arrays omitted; see the CSV writer)."""
@@ -274,10 +282,9 @@ class _Plan:
         self.cutoffs = tuple(
             acceptance_threshold(scale.n, space.d, params.gamma) for space in scale.levels
         )
-        self.halves = _level_halves(scale, params)
         # Entry j is the half-width of the 1-based level j, entry 0 unused:
-        # the block walk looks its rows up by level in one call.
-        self._halves = np.array((math.nan,) + self.halves)
+        # scan reads its level's entry, the block walk every row's at once.
+        self.halves = np.array((math.nan,) + _level_halves(scale, params))
 
     def scan(self, y: np.ndarray):
         """Residual tests of the vector ``y`` at every level.
@@ -298,7 +305,7 @@ class _Plan:
             t_stats.append(t)
             if t <= cutoff and center is y:
                 selected, center = j, proj
-        return t_stats, selected, center, self.halves[selected - 1]
+        return t_stats, selected, center, float(self.halves[selected])
 
     def walk(self, Y: np.ndarray):
         """Residual tests of each row of the ``(k, n)`` block ``Y``.
@@ -313,7 +320,7 @@ class _Plan:
         selected = np.full(Y.shape[0], len(self.levels) + 1)
         center, live, rows = Y, None, Y  # live: indices of the rows in rows, None for all
         for j, (space, cutoff) in enumerate(zip(self.levels, self.cutoffs), start=1):
-            proj = space._project_rows(rows)
+            proj = space._project(rows)
             resid = rows - proj
             # vecdot runs the ddot of resid @ resid on each row, so the
             # statistics are scan's bit for bit (einsum and (R * R).sum(1)
@@ -333,7 +340,7 @@ class _Plan:
                 break
             live = np.flatnonzero(~accept) if live is None else live[~accept]
             rows = rows[~accept]
-        return selected, center, self._halves[selected]
+        return selected, center, self.halves[selected]
 
 
 # The plan of each live scale and the params it was built for.  A plan holds
@@ -373,17 +380,9 @@ def adaptive_band_nested(scale: NestedScale, y, params: BandParams) -> Band:
     y = _as_vector(y, _instance("scale", scale, NestedScale).n)
     plan = _plan(scale, params)
     t_stats, selected, center, half = plan.scan(y)
-    if center is y:
-        center = y.copy()
-    return Band(
-        lower=center - half,
-        upper=center + half,
-        center=center,
-        width=2.0 * half,
-        selected_level=selected,
-        accepted=selected <= scale.m,
-        t_stats=tuple(t_stats),
-        thresholds=plan.cutoffs,
+    return Band._around(
+        y.copy() if center is y else center, half, 2.0 * half, selected, selected <= scale.m,
+        t_stats=tuple(t_stats), thresholds=plan.cutoffs,
     )
 
 
@@ -395,14 +394,7 @@ def bonferroni_band(y, alpha: float, sigma: float) -> Band:
     """
     y, alpha, sigma = _as_vector(y), _probability("alpha", alpha), _sigma("sigma", sigma)
     half = _bonferroni_half_width(y.shape[0], alpha, sigma)
-    return Band(
-        lower=y - half,
-        upper=y + half,
-        center=y.copy(),
-        width=2.0 * half,
-        selected_level=None,
-        accepted=None,
-    )
+    return Band._around(y.copy(), half, 2.0 * half)
 
 
 def subspace_band(
@@ -417,13 +409,5 @@ def subspace_band(
     y = _as_vector(y, _instance("space", space, Subspace).n)
     alpha, sigma = _probability("alpha", alpha), _sigma("sigma", sigma)
     _instance("per_coordinate", per_coordinate, bool)
-    center = space.project(y)
     half, width = _subspace_half_width(space, alpha, sigma, per_coordinate)
-    return Band(
-        lower=center - half,
-        upper=center + half,
-        center=center,
-        width=width,
-        selected_level=None,
-        accepted=None,
-    )
+    return Band._around(space.project(y), half, width)

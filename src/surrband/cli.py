@@ -49,7 +49,7 @@ from .bands import BandParams, adaptive_band_nested, level_widths
 from .bounds import surrogate_lower_bound, w_target
 from .errors import DomainError, FeasibilityError
 from .simulate import Scenario, make_spoiler, run
-from .specfun import econst, kappa, qconst, tau_inv
+from .specfun import _alpha_split, econst, kappa, qconst, tau_inv
 from .subspace import (
     DesignGrid,
     NestedScale,
@@ -300,7 +300,9 @@ def _build_scale(cfg: dict, n: int) -> NestedScale:
 def _build_params(cfg: dict, scale: NestedScale) -> BandParams:
     alpha, gamma, sigma = (float(cfg[k]) for k in ("alpha", "gamma", "sigma"))
     # Without alphaSplit, the library's equal split.
-    split = tuple(float(v) for v in cfg["alphaSplit"]) if "alphaSplit" in cfg else None
+    split = cfg.get("alphaSplit")
+    if split is not None:  # the budget rule, refused under the config's own key
+        split = _alpha_split("config.alphaSplit", split, alpha, scale.m)
     tuning = cfg["tuning"]
     if "auto" in tuning:
         tuning = nested_tuning(

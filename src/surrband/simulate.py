@@ -334,13 +334,12 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
 
 
 def _step(scenario: Scenario):
-    """``(step, truth)``: the block step of ``scenario``'s procedure, its
-    set-up done here once, and the index of the truth among the candidates.
+    """The block step of ``scenario``'s procedure, its set-up done here once.
 
     ``step(start, count)`` gives, for replications ``start`` on, the
-    ``(count, c)`` coverage of the ``c`` candidates, the widths (one float
-    where all rows share it) and the accepted levels (``None`` outside the
-    adaptive procedure).
+    ``(count, c)`` coverage of the ``c`` candidates, the truth last, the
+    widths (one float where all rows share it) and the accepted levels
+    (``None`` outside the adaptive procedure).
     """
     f, n, seed = scenario.truth, scenario.n, scenario.seed
     if scenario.kind == "bonferroni":
@@ -351,14 +350,12 @@ def _step(scenario: Scenario):
             k = _words(seed, start, n, count)
             return ((k >= lo) & (k <= hi)).all(axis=1)[:, None], 2.0 * half, None
 
-        return words_step, 0
+        return words_step
 
     if scenario.kind == "adaptive":
         plan, sigma = _plan(scenario.scale, scenario.params), scenario.params.sigma
         found = surrogate_set(scenario.scale, f, scenario.params.tuning)
-        # The candidate tagged "identity" equals f, so its coverage is the truth's.
-        truth = next(i for i, c in enumerate(found) if "identity" in c.tags)
-        candidates = np.stack([c.values for c in found])
+        candidates = np.stack([c.values for c in found])  # f itself last
 
         def band(block):
             levels, center, half = plan.walk(block)
@@ -367,10 +364,10 @@ def _step(scenario: Scenario):
         space, sigma = scenario.space, scenario.sigma
         half, width = _subspace_half_width(space, scenario.alpha, sigma, scenario.per_coordinate)
         # Outside the adaptive procedure the only surrogate candidate is the truth.
-        candidates, truth = f[None], 0
+        candidates = f[None]
 
         def band(block):  # subspace_band's arithmetic, row by row
-            return space._project_rows(block)[:, None], half, width, None
+            return space._project(block)[:, None], half, width, None
 
     def step(start, count):
         center, half, widths, levels = band(f + sigma * gaussian_draw(seed, start, n, count))
@@ -378,7 +375,7 @@ def _step(scenario: Scenario):
         covered = (center - half <= candidates) & (candidates <= center + half)
         return covered.all(axis=2), widths, levels
 
-    return step, truth
+    return step
 
 
 def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimReport:
@@ -398,7 +395,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
 
     reps, seed = scenario.reps, scenario.seed
     rows = max(1, _BLOCK_VALUES // scenario.n)
-    step, truth = _step(scenario)
+    step = _step(scenario)
 
     widths = np.empty(reps, dtype=np.float64)
     cover_true, cover_surr = np.zeros((2, reps), dtype=bool)
@@ -408,7 +405,7 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
         stop = min(start + rows, reps)
         covered, widths[start:stop], block_levels = step(start, stop - start)
         cover_surr[start:stop] = covered.any(axis=1)
-        cover_true[start:stop] = covered[:, truth]
+        cover_true[start:stop] = covered[:, -1]
         if block_levels is not None:
             levels[start:stop] = block_levels
 
@@ -428,12 +425,8 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
 
     prob_width_le = None
     if width_threshold is not None:
-        p = float(np.count_nonzero(widths <= width_threshold)) / reps
-        prob_width_le = {
-            "threshold": width_threshold,
-            "prob": p,
-            "se": math.sqrt(p * (1.0 - p) / reps),
-        }
+        p, se = rate(widths <= width_threshold)
+        prob_width_le = {"threshold": width_threshold, "prob": p, "se": se}
 
     level_histogram = None
     if scenario.kind == "adaptive":

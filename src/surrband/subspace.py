@@ -15,7 +15,8 @@ strictly increasing, genuinely nested chain of subspaces, and the extremal
 norm-conversion helpers tied to the leverage number ``omega``.  A function
 system is stored as its dense ``(d, n)`` basis; a dyadic block subspace
 stores only its block boundaries, projects by block means in O(n), and builds
-its basis only when asked for it.
+its basis only when asked for it.  Each kind has one projection routine,
+``_project``, of a vector or of each row of a ``(k, n)`` block alike.
 """
 
 from __future__ import annotations
@@ -142,17 +143,14 @@ class Subspace:
         return self._project(_as_vector(y, self.n))
 
     def _project(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`project` of a checked float vector of length ``n``; the band
-        plan calls it directly, so both give the same bits."""
-        return (self._rows @ y / self.n) @ self._rows
-
-    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
-        """:meth:`_project` of each row of a ``(k, n)`` float block.
-
-        Row by row: the rows of ``Y @ B.T`` are not bitwise ``B @ y``."""
-        out = np.empty_like(Y)
-        for i, y in enumerate(Y):
-            out[i] = self._project(y)
+        """:meth:`project`, bit for bit, of a checked float vector of length
+        ``n`` or of each row of a ``(k, n)`` block; the band plan calls it.
+        Row by row, as the rows of ``Y @ B.T`` are not bitwise ``B @ y``."""
+        if y.ndim == 1:
+            return (self._rows @ y / self.n) @ self._rows
+        out = np.empty_like(y)
+        for i, row in enumerate(y):
+            out[i] = self._project(row)
         return out
 
     def leverage_profile(self) -> np.ndarray:
@@ -205,13 +203,9 @@ class _Blocks(Subspace):
         return np.add.reduceat(y, self._starts) * self._heights / self.n
 
     def _project(self, y: np.ndarray) -> np.ndarray:
-        return np.repeat(np.add.reduceat(y, self._starts) / self._sizes, self._sizes)
-
-    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
-        # Each row is _project of that row, bit for bit.
-        return np.repeat(
-            np.add.reduceat(Y, self._starts, axis=1) / self._sizes, self._sizes, axis=1
-        )
+        # Block means along the last axis, so a row of a block has the bits
+        # of that row alone; a positional axis is cheaper than axis=.
+        return np.repeat(np.add.reduceat(y, self._starts, -1) / self._sizes, self._sizes, -1)
 
     def leverage_profile(self) -> np.ndarray:
         return np.repeat(np.sqrt(self._heights * self._heights / self.n), self._sizes)

@@ -136,7 +136,9 @@ def surrogate_set(scale: NestedScale, f, tuning: SurrogateTuning) -> list[Surrog
 
     The level-``j`` projections for every spoiler level, plus ``f`` itself.
     Exactly equal vectors are merged into one candidate with the union of
-    their provenance tags, in first-appearance order.
+    their provenance tags, in first-appearance order.  ``f`` comes last,
+    tagged ``("identity",)`` alone: a spoiler's projection differs from it by
+    a residual of sup norm above ``eps_inf >= 0``.
     """
     _check_scale_tuning(scale, tuning)
     f = _as_vector(f, scale.n)

@@ -140,6 +140,57 @@ class TestSubspaceBand:
         assert np.any(percoord.upper < uniform.upper - 1e-12)
 
 
+class TestBandIsCenterPlusMinusHalf:
+    """Each band function gives ``center -/+ half`` bit for bit, and the band
+    keeps no view of the caller's ``y``."""
+
+    N, ALPHA, SIGMA = 64, 0.1, 0.7
+    X = np.arange(1, 65) / 64
+    SCALE = dyadic_scale(64, [1, 4, 16])
+    PARAMS = BandParams.equal_split(0.1, 0.1, 0.7, nested_tuning(SCALE, 0.1, 0.1, 0.7))
+
+    @classmethod
+    def _z(cls):
+        return z_upper(cls.ALPHA / (2.0 * cls.N))
+
+    @classmethod
+    def _bonferroni(cls, y):
+        return bonferroni_band(y, cls.ALPHA, cls.SIGMA), cls.SIGMA * cls._z()
+
+    @classmethod
+    def _subspace(cls, y):
+        s = dyadic_blocks(cls.N, 8)
+        return subspace_band(s, y, cls.ALPHA, cls.SIGMA), cls.SIGMA * s.omega * cls._z()
+
+    @classmethod
+    def _per_coordinate(cls, y):
+        s = cosine_basis(cls.N, 4)
+        band = subspace_band(s, y, cls.ALPHA, cls.SIGMA, per_coordinate=True)
+        return band, cls.SIGMA * s.leverage_profile() * cls._z()
+
+    @classmethod
+    def _adaptive(cls, y):
+        band = adaptive_band_nested(cls.SCALE, y, cls.PARAMS)
+        return band, level_widths(cls.SCALE, cls.PARAMS)[band.selected_level - 1] / 2.0
+
+    @pytest.mark.parametrize("make, amplitude, level", [
+        ("_bonferroni", 1.0, None),
+        ("_subspace", 1.0, None),
+        ("_per_coordinate", 1.0, None),
+        ("_adaptive", 0.0, 1),  # pure noise: the coarsest level accepts
+        ("_adaptive", 3.0, 4),  # a fast wave: every level rejects, the fallback
+    ])
+    def test_bitwise_and_detached(self, make, amplitude, level):
+        noise = self.SIGMA * np.random.default_rng(404).normal(size=self.N)
+        y = amplitude * np.sin(40.0 * self.X) + noise
+        band, half = getattr(self, make)(y)
+        assert band.selected_level == level
+        want = (band.center - half, band.center.copy(), band.center + half)
+        y[:] = np.nan  # the caller reuses its buffer
+        for got, then in zip((band.lower, band.center, band.upper), want):
+            assert np.array_equal(got.view(np.int64), then.view(np.int64))
+
+
 class TestBandParams:
     def test_equal_split(self):
         tuning = SurrogateTuning(eps2=(0.5,), eps_inf=(0.3,))
@@ -533,9 +584,9 @@ class _Recorder:
     def __init__(self, space, level, projected):
         self.space, self.level, self.projected = space, level, projected
 
-    def _project_rows(self, Y):
+    def _project(self, Y):
         self.projected.append((self.level, Y.shape[0]))
-        return self.space._project_rows(Y)
+        return self.space._project(Y)
 
 
 def _recording(plan):

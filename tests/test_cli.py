@@ -177,11 +177,11 @@ _REJECTED = [
     # an alphaSplit over the alpha budget is refused by the budget rule under
     # either tuning, not by the chi-square constant its largest entry reaches
     ({"gamma": 0.1, "tuning": {"auto": "achievable"}, "alphaSplit": [0.05, 0.95, 0.05]}, "band", 2,
-     "sums to 1.05, exceeding alpha=0.1"),
+     "config.alphaSplit sums to 1.05, exceeding alpha=0.1"),
     ({"n": 64, "gamma": 0.1, "alphaSplit": [0.05, 0.95, 0.05]}, "simulate", 2,
-     "sums to 1.05, exceeding alpha=0.1"),
+     "config.alphaSplit sums to 1.05, exceeding alpha=0.1"),
     ({"n": 64, "gamma": 0.1, "tuning": {"auto": "lower-bound"}, "alphaSplit": [0.05, 0.95, 0.05]},
-     "simulate", 2, "sums to 1.05, exceeding alpha=0.1"),
+     "simulate", 2, "config.alphaSplit sums to 1.05, exceeding alpha=0.1"),
 ]
 
 

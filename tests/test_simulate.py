@@ -388,7 +388,7 @@ class TestGoldenReports:
         assert _digest(run(s)) == "9a38d33a37a292439d9352914114774b883218f9f7dd05e61f1eada9b2889ddf"
 
     def test_subspace_blocks_one_half_width(self):
-        # Dyadic blocks project by block means (_Blocks._project_rows), and
+        # Dyadic blocks project by block means (_Blocks._project), and
         # without per_coordinate the half-width is one scalar.
         x = np.arange(1, 65) / 64
         s = Scenario(

@@ -461,21 +461,21 @@ class TestExtremalNormRatios:
 
 
 class TestBlockProjection:
-    """``_project_rows`` of a ``(k, n)`` block against ``_project`` of each row."""
+    """``_project`` of a ``(k, n)`` block against ``_project`` of each row."""
 
     @pytest.mark.parametrize("n, d", TestBlocksMatchDense.SHAPES)
     def test_dyadic_rows_bitwise(self, n, d):
         s = dyadic_blocks(n, d)
         block = np.random.default_rng(2000 + n + d).normal(size=(5, n)) * 3.0
         for offset in range(5):  # blocks starting at every row
-            got = s._project_rows(block[offset:])
+            got = s._project(block[offset:])
             for row, y in zip(got, block[offset:]):
                 assert np.array_equal(row.view(np.int64), s._project(y.copy()).view(np.int64))
 
     def test_dense_rows_bitwise(self):
         s = cosine_basis(33, 4)
         block = np.random.default_rng(2001).normal(size=(4, 33))
-        got = s._project_rows(block)
+        got = s._project(block)
         assert got.shape == block.shape
         for row, y in zip(got, block):
             assert np.array_equal(row.view(np.int64), s.project(y).view(np.int64))

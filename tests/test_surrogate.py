@@ -28,6 +28,7 @@ from surrband import (
     surrogate_set,
     surrogate_target,
     dyadic_scale,
+    make_spoiler,
 )
 
 # A two-level nest on four points built from exactly representable rows:
@@ -132,6 +133,32 @@ class TestSurrogateSet:
         assert proj.tags == ("projection:1",)
         assert np.array_equal(proj.values.view(np.int64), want.view(np.int64))
         assert np.array_equal(ident.values, _F_TIE)
+
+
+class TestIdentityLast:
+    """``f`` is the last candidate and stands alone: a spoiler's projection
+    differs from ``f`` by a residual of sup norm above ``eps_inf >= 0``."""
+
+    SCALE = dyadic_scale(64, [1, 4, 16])
+    TUNING = nested_tuning(SCALE, 0.1, 0.1)
+
+    def _last_is_f(self, f):
+        found = surrogate_set(self.SCALE, f, self.TUNING)
+        assert np.array_equal(found[-1].values, f)
+        assert found[-1].tags == ("identity",)
+        return found
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_spoiler_at_each_level(self, level):
+        j = level - 1
+        f = make_spoiler(self.SCALE.levels[j], self.TUNING.eps2[j], self.TUNING.eps_inf[j], 0.5)
+        assert level in selected_levels(self.SCALE, f, self.TUNING)
+        assert len(self._last_is_f(f)) >= 2
+
+    def test_invariant(self):
+        f = 3.0 * np.sin(9.0 * np.arange(1, 65) / 64)
+        assert classify(self.SCALE, f, self.TUNING) == INVARIANT
+        assert len(self._last_is_f(f)) == 1
 
 
 class TestClassify:

@@ -11,8 +11,9 @@ drift of the draw from the fingerprint ``V1_DRAW`` with which
 also keep the numeric argument checks, and the type checks of structured
 arguments, in ``specfun``, their one home, keep the package free of thread
 and process pools (Monte Carlo runs are serial), keep it from reading
-environment variables, and keep ``specfun`` to one loop that steps the
-normal quantile's bisection brackets.  One test checks that
+environment variables, keep ``specfun`` to one loop that steps the
+normal quantile's bisection brackets, keep each subspace to one projection
+routine and keep ``bands`` to one constructor call of ``Band``.  One test checks that
 ``tools/report_digests.py`` hashes the report that each of its keys names.
 """
 
@@ -188,6 +189,44 @@ def test_argument_checks_live_in_specfun():
                 if word in line
             ]
     assert not found, found
+
+
+# Routines whose work one routine took over: a subspace projects a vector and
+# a block alike through its one _project.  None may come back in any module.
+_DELETED_NAMES = ("_project_rows",)
+
+
+def test_deleted_names_stay_deleted():
+    found = [
+        f"{path.name}:{number}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for name in _DELETED_NAMES
+        if name in line
+    ]
+    assert not found, found
+
+
+def test_every_band_is_built_in_one_place():
+    # Band._around is the one call of the Band constructor in bands.py, and
+    # each band function builds its band through it.
+    tree = ast.parse((PACKAGE / "bands.py").read_text())
+    band = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Band")
+    around = next(n for n in band.body if isinstance(n, ast.FunctionDef) and n.name == "_around")
+
+    def calls(node, *names):
+        return [
+            c for c in ast.walk(node)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id in names
+        ]
+
+    assert calls(tree, "Band") == [] and calls(band, "cls") == calls(around, "cls")
+    assert len(calls(around, "cls")) == 1
+    for name in ("adaptive_band_nested", "bonferroni_band", "subspace_band"):
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert any(
+            isinstance(c, ast.Call) and ast.unparse(c.func) == "Band._around" for c in ast.walk(fn)
+        ), name
 
 
 def test_every_name_imported_from_specfun_is_used():
