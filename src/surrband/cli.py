@@ -345,9 +345,24 @@ def _dumps(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
+# Lists longer than this send a payload through _dumps; below it the
+# pure-Python encoder, called once, is faster than _dumps's recursion.
+_LONG = 64
+
+
+def _has_long_list(obj) -> bool:
+    """Whether ``obj`` holds a list or tuple of more than ``_LONG`` items."""
+    if type(obj) is dict:
+        return any(_has_long_list(v) for v in obj.values())
+    if type(obj) in (list, tuple):
+        return len(obj) > _LONG or any(_has_long_list(v) for v in obj)
+    return False
+
+
 def _emit(payload: dict, cfg: dict, out: str | None) -> int:
     """Write ``payload`` and the config it echoes as JSON to ``out`` or stdout."""
-    text = _dumps({**payload, "config": cfg}) + "\n"
+    doc = {**payload, "config": cfg}
+    text = (_dumps(doc) if _has_long_list(doc) else json.dumps(doc, sort_keys=True, indent=2)) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

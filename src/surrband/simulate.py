@@ -4,10 +4,12 @@ Replications are driven by a counter-based generator (Philox) keyed by
 ``(seed, replication index)``: every replication's noise depends only on the
 seed and its own index, never on execution order.  Each replication's
 Philox generator is a kept object reset to numpy's own fresh state with the
-key rewritten to ``(seed, rep)``.  Uniform draws are mapped to normals by
-the package's own deterministic bisection inverse of the Gaussian
-distribution function, :func:`~surrband.specfun.normal_quantile`, bit for bit
-the 64-step bisection: this is draw stream v1, the same noise as ever.
+key rewritten to ``(seed, rep)``; that state is kept as plain Python ints,
+which numpy's state setter reads faster than numpy arrays.  Uniform draws
+are mapped to normals by the package's own deterministic bisection inverse
+of the Gaussian distribution function,
+:func:`~surrband.specfun.normal_quantile`, bit for bit the 64-step
+bisection: this is draw stream v1, the same noise as ever.
 
 Each procedure has one set-up, done once per run, and one block step (see
 :func:`_step`).  Replications are cut into blocks on one grid and walked in
@@ -27,7 +29,9 @@ order through the noisy value and the band's two comparisons.  So the
 words whose draw the band covers at a coordinate form one interval
 ``[lo, hi]``, found in the set-up for each distinct truth value (see
 :func:`_bonferroni_window`), and a Bonferroni step keys Philox and compares
-integers.  The report has the bytes of the full draw.
+integers.  The report has the bytes of the full draw.  The window ends of
+the last configuration (distinct truth values, ``sigma``, half-width) are
+kept, so repeated runs of one configuration search them once.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -37,6 +41,7 @@ collected per replication and summarized in a :class:`SimReport`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -195,11 +200,13 @@ class SimReport:
 
 # Philox objects not in use, each paired with the state it is reset to:
 # numpy's own state of a new Philox, counter zero and buffer empty, whose key
-# is rewritten for each row.  Resetting a kept object from a kept state is
-# cheaper than building either anew.  ``run`` draws on the calling thread
-# only, but library callers may call ``gaussian_draw`` from threads of their
-# own: list pop/append are atomic, so each draw running at a time holds its
-# own pair, and the list never holds more than ran at once.
+# is rewritten for each row, with its counter, key and buffer as lists of
+# ints (the setter reads them entry by entry, and an int from a list costs
+# less than one from a numpy array).  Resetting a kept object from a kept
+# state is cheaper than building either anew.  ``run`` draws on the calling
+# thread only, but library callers may call ``gaussian_draw`` from threads of
+# their own: list pop/append are atomic, so each draw running at a time holds
+# its own pair, and the list never holds more than ran at once.
 _IDLE_PHILOX: list = []
 
 # About this many normal deviates are drawn per call in ``run``: a block of
@@ -240,7 +247,13 @@ def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.n
 
 def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
     """The ``(count or 1, n)`` 53-bit words, as int64, that :func:`_uniform`
-    maps to the uniforms of :func:`gaussian_draw`, with its argument checks."""
+    maps to the uniforms of :func:`gaussian_draw`, with its argument checks.
+
+    Each row resets a kept Philox object to numpy's fresh state with the key
+    ``(seed mod 2^64, rep + i)``.  That state is kept with plain-int lists
+    for its counter, key and buffer (see ``_IDLE_PHILOX``): the reset is
+    most of a short row's cost, and reading a list is the cheaper part of it.
+    """
     _count("seed", seed, 0)
     _count("n", n, 1)
     if count is not None:
@@ -255,6 +268,8 @@ def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
     except IndexError:
         bitgen = np.random.Philox(0)
         state = bitgen.state
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     key[0] = seed % 2**64
     for i, row in enumerate(raw):
@@ -288,13 +303,28 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
     IEEE rounding is monotone.  So ``f <= y + half`` can only turn true as
     ``k`` grows, and ``y - half <= f`` only false.
 
-    Both switches are found once per distinct truth value.  Each is guessed
-    from ``ndtr(-+half / sigma)`` and confirmed by testing the adjacent words
-    around the guess, both ends of every value in one ``normal_quantile``
-    call; where those words do not show the switch, a bisection over all
-    ``2^53`` words finds it.
+    Both switches are found once per distinct truth value
+    (:func:`_window_ends`), and the ends of the last configuration are kept:
+    a second run of one configuration only indexes them.
     """
     values, index = np.unique(f, return_inverse=True)
+    lo, hi = _window_ends(values.tobytes(), sigma, half)
+    return lo[index], hi[index]
+
+
+# One configuration is kept: two int64 ends and the float64 key per distinct
+# truth value, 24 bytes each.
+@functools.lru_cache(maxsize=1)
+def _window_ends(values: bytes, sigma: float, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only window ends ``lo, hi`` of the sorted distinct truth
+    values whose float64 bytes are ``values`` (see :func:`_bonferroni_window`).
+
+    Each switch is guessed from ``ndtr(-+half / sigma)`` and confirmed by
+    testing the adjacent words around the guess, both ends of every value in
+    one ``normal_quantile`` call; where those words do not show the switch,
+    a bisection over all ``2^53`` words finds it.
+    """
+    values = np.frombuffer(values, dtype=np.float64)
     m = values.size
     # Entry i < m stands for the lower end of values[i], entry m + i for the
     # upper end.
@@ -330,7 +360,9 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
         above[live] = np.where(holds, mid, above[live])
         below[live] = np.where(holds, below[live], mid)
     first[open_] = above
-    return first[:m][index], first[m:][index] - 1
+    first[m:] -= 1
+    first.flags.writeable = False
+    return first[:m], first[m:]
 
 
 def _step(scenario: Scenario):
@@ -385,7 +417,8 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
     surrogate candidates of an adaptive run, which so fails its feasibility
     check (:class:`~surrband.errors.FeasibilityError`) before any sampling,
     the half-width of a subspace run, the half-width and word windows of a
-    Bonferroni run.  Replications are then cut into blocks of
+    Bonferroni run (the windows kept from the last run when its
+    configuration repeats).  Replications are then cut into blocks of
     ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of that size,
     and walked in order on the calling thread, one block step each.
     """
@@ -419,8 +452,9 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
     q_levels = {0.5, 0.9}
     if scenario.kind == "adaptive":
         q_levels.add(1.0 - scenario.params.gamma)
+    q_levels = sorted(q_levels)
     width_quantiles = {
-        str(q): float(np.quantile(widths, q)) for q in sorted(q_levels)
+        str(q): float(w) for q, w in zip(q_levels, np.quantile(widths, q_levels))
     }
 
     prob_width_le = None

@@ -500,6 +500,21 @@ class TestOutputBytes:
         ):
             assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
+    @pytest.mark.parametrize("length, long", [(0, False), (64, False), (65, True), (4096, True)])
+    @pytest.mark.parametrize("nest", ["config", "list", "tuple"])
+    def test_emit_sends_only_long_lists_through_dumps(self, tmp_path, monkeypatch, length, long, nest):
+        truth = np.sin(np.arange(length) / 7.0).tolist()
+        held = {"config": truth, "list": [[1, truth]], "tuple": ({"t": tuple(truth)},)}[nest]
+        payload, cfg = {"reps": 3, "widthQuantiles": {"0.5": 0.25}}, {"truth": held, "n": length}
+        assert cli._has_long_list({**payload, "config": cfg}) is long
+        calls, dumps = [], cli._dumps
+        monkeypatch.setattr(cli, "_dumps", lambda *a: calls.append(a) or dumps(*a))
+        out = tmp_path / "out.json"
+        assert cli._emit(payload, cfg, str(out)) == 0
+        assert bool(calls) is long
+        want = json.dumps({**payload, "config": cfg}, sort_keys=True, indent=2) + "\n"
+        assert out.read_text() == want
+
 
 class TestExitCodes:
     def test_wrong_version(self, tmp_path, capsys):

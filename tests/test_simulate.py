@@ -106,6 +106,17 @@ class TestGaussianDraw:
             want = normal_quantile((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
             assert np.array_equal(row, want)
 
+    @pytest.mark.parametrize("n, other", [(64, 5), (5, 64), (1, 33)])
+    def test_words_at_the_largest_seed_and_rep_match_a_new_generator(self, n, other):
+        # Both key words at 2**64 - 1, the largest int the kept state's plain
+        # lists must carry into the generator; then again after the same kept
+        # object drew a row of another length.
+        seed = rep = 2**64 - 1
+        want = np.random.Philox(key=[seed % 2**64, rep]).random_raw(n) >> np.uint64(11)
+        assert np.array_equal(simulate._words(seed, rep, n, None), want[None].view(np.int64))
+        simulate._words(seed - 1, rep - 7, other, 3)
+        assert np.array_equal(simulate._words(seed, rep, n, 1), want[None].view(np.int64))
+
     def test_concurrent_draws_match_serial(self):
         # Threads share the idle-generator list; a generator handed to two
         # threads at once would mix their streams.  More workers than cores
@@ -299,6 +310,7 @@ class TestBlocks:
         s = Scenario(kind="bonferroni", truth=f, reps=300, seed=n, alpha=0.05, sigma=0.5)
         want = _dumps(run(s, width_threshold=1.0))
         monkeypatch.setattr(simulate, "special", SimpleNamespace(ndtr=lambda x: 0.5))
+        simulate._window_ends.cache_clear()  # the run above kept its ends
         # One call on the guesses, then one per bisection step.
         assert self._check_against_band_calls(monkeypatch, s) > 2 * 53 * np.unique(f).size
         assert _dumps(run(s, width_threshold=1.0)) == want
@@ -311,6 +323,41 @@ class TestBlocks:
         f = 1e16 * np.sin(6.0 * np.arange(1, n + 1) / n)
         s = Scenario(kind="bonferroni", truth=f, reps=300, seed=n, alpha=0.05, sigma=1.0)
         assert self._check_against_band_calls(monkeypatch, s) > 2 * 53 * n
+
+    def test_second_run_of_a_configuration_keeps_its_window(self, monkeypatch):
+        s = _block_scenarios()["bonferroni"]
+        simulate._window_ends.cache_clear()
+        run(s)
+        assert self._check_against_band_calls(monkeypatch, s) == 0
+        assert simulate._window_ends.cache_info().hits >= 1
+
+    @pytest.mark.parametrize("change", ["sigma", "alpha", "truth"])
+    def test_a_changed_configuration_recomputes_its_window(self, monkeypatch, change):
+        f = np.sin(6.0 * np.arange(1, 34) / 33)
+        fields = {"truth": f, "reps": 300, "seed": 5, "alpha": 0.05, "sigma": 0.5}
+        run(Scenario(kind="bonferroni", **fields))
+        if change == "truth":
+            fields["truth"] = f.copy()
+            fields["truth"][3] += 0.25
+        else:
+            fields[change] *= 1.5
+        # One call on the guesses at least; the kept window is not reused.
+        assert self._check_against_band_calls(monkeypatch, Scenario(kind="bonferroni", **fields)) > 0
+
+    def test_kept_window_ends_are_read_only_and_one_configuration(self):
+        assert simulate._window_ends.cache_info().maxsize == 1
+        f = np.array([0.0, 0.5, 0.5, -1.0])
+        lo, hi = simulate._window_ends(np.unique(f).tobytes(), 1.0, 2.5)
+        for ends in (lo, hi):
+            assert not ends.flags.writeable
+            with pytest.raises(ValueError):
+                ends[0] = 0
+            with pytest.raises(ValueError):
+                ends.flags.writeable = True
+        # The per-coordinate windows are fresh arrays the caller may write.
+        lo_f, hi_f = simulate._bonferroni_window(f, 1.0, 2.5)
+        assert lo_f.flags.writeable and hi_f.flags.writeable
+        assert np.array_equal(lo_f, lo[[1, 2, 2, 0]]) and np.array_equal(hi_f, hi[[1, 2, 2, 0]])
 
 
 class TestBonferroniWindow:

@@ -18,6 +18,12 @@ draw stream and the band engine bit for bit leaves every digest as it was::
 With ``--against FILE`` the script prints the key of each report whose
 digest differs from FILE's, or that only one side has, and exits 1 if there
 is any; a matching matrix prints nothing and exits 0.
+
+``tests/report_digests.json`` holds the matrix of draw stream v1, and a
+test checks the package against it.  A change that moves reports on purpose
+(a new draw stream) rewrites that file with this script's output::
+
+    python3 tools/report_digests.py > tests/report_digests.json
 """
 
 from __future__ import annotations
