@@ -138,15 +138,14 @@ class Band:
         return cls(center - half, center + half, center, width, selected_level, accepted, **scan)
 
     def to_dict(self) -> dict:
-        """JSON-friendly summary (arrays omitted; see the CSV writer)."""
+        """JSON-friendly summary (arrays omitted; see the CSV writer).  JSON
+        has no infinity or NaN: a non-finite statistic or cutoff is ``None``."""
         return {
             "width": self.width,
             "selectedLevel": self.selected_level,
             "accepted": self.accepted,
-            "tStats": list(self.t_stats),
-            "thresholds": [
-                (t if math.isfinite(t) else None) for t in self.thresholds
-            ],
+            "tStats": [(t if math.isfinite(t) else None) for t in self.t_stats],
+            "thresholds": [(t if math.isfinite(t) else None) for t in self.thresholds],
         }
 
 

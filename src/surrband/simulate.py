@@ -27,11 +27,11 @@ quantile never decreases as its uniform grows, nor does the uniform as its
 word grows, and with ``sigma > 0`` monotone IEEE rounding carries that
 order through the noisy value and the band's two comparisons.  So the
 words whose draw the band covers at a coordinate form one interval
-``[lo, hi]``, found in the set-up for each distinct truth value (see
-:func:`_bonferroni_window`), and a Bonferroni step keys Philox and compares
-integers.  The report has the bytes of the full draw.  The window ends of
-the last configuration (distinct truth values, ``sigma``, half-width) are
-kept, so repeated runs of one configuration search them once.
+``[lo, hi]``, found in the set-up (see :func:`_window_ends`), and a
+Bonferroni step keys Philox and compares integers.  The report has the
+bytes of the full draw.  The windows of the last configuration (the truth,
+``sigma`` and the half-width) are kept, so repeated runs of one
+configuration search them once.
 
 Coverage is recorded both for the truth ``f`` and for the surrogate candidate
 set (the band counts as covering when *some* candidate lies inside it
@@ -85,11 +85,16 @@ __all__ = [
 ]
 
 
-# The fields each kind reads besides kind, truth, reps and seed.
+# The fields each kind reads besides kind, truth, reps and seed, each with
+# its check (a class, or a number check whose result is kept), and the field
+# whose grid the truth must match, with that grid's name.
 _FIELDS = {
-    "adaptive": ("scale", "params"),
-    "bonferroni": ("alpha", "sigma"),
-    "subspace": ("space", "alpha", "sigma", "per_coordinate"),
+    "adaptive": ({"scale": NestedScale, "params": BandParams}, ("scale", "scale")),
+    "bonferroni": ({"alpha": _probability, "sigma": _sigma}, None),
+    "subspace": (
+        {"space": Subspace, "alpha": _probability, "sigma": _sigma, "per_coordinate": bool},
+        ("space", "subspace"),
+    ),
 }
 
 
@@ -102,9 +107,9 @@ class Scenario:
     ``"subspace"`` (requires ``space``, ``alpha`` and ``sigma``, and reads the
     bool ``per_coordinate``); ``alpha`` must be a number in (0, 1) and
     ``sigma`` a positive number whose square is finite and above 0, checked
-    here rather than at the first replication.  A field that the kind does not read must be left at
-    ``None`` or ``False``.  ``truth`` is the mean vector; noise is
-    ``N(0, sigma^2)`` per coordinate.
+    here rather than at the first replication.  A field that the kind does
+    not read must be left at ``None`` or ``False``.  ``truth`` is the mean
+    vector; noise is ``N(0, sigma^2)`` per coordinate.
     """
 
     kind: str
@@ -121,31 +126,24 @@ class Scenario:
     def __post_init__(self):
         if _instance("kind", self.kind, str) not in _FIELDS:
             raise DomainError(f"kind must be one of {tuple(_FIELDS)}, got {self.kind!r}")
-        for name in ("scale", "params", "space", "alpha", "sigma", "per_coordinate"):
-            value = getattr(self, name)
-            if name not in _FIELDS[self.kind] and value is not None and value is not False:
-                raise DomainError(f"{self.kind} scenarios do not use {name}=, got {value!r}")
         truth = _as_vector(self.truth)
         object.__setattr__(self, "truth", truth)
         _count("reps", self.reps, 1)
         _count("seed", self.seed, 0)
-        if self.kind == "adaptive":
-            _instance("params", self.params, BandParams)
-            if truth.shape[0] != _instance("scale", self.scale, NestedScale).n:
-                raise DomainError(
-                    f"truth has length {truth.shape[0]} but the scale grid is {self.scale.n}"
-                )
-        else:
-            if self.alpha is None or self.sigma is None:
+        checks, grid = _FIELDS[self.kind]
+        for name in ("scale", "params", "space", "alpha", "sigma", "per_coordinate"):
+            value, check = getattr(self, name), checks.get(name)
+            if check is None:
+                if value is not None and value is not False:
+                    raise DomainError(f"{self.kind} scenarios do not use {name}=, got {value!r}")
+            elif isinstance(check, type):
+                _instance(name, value, check)
+            elif value is None:
                 raise DomainError(f"{self.kind} scenarios need alpha= and sigma=")
-            object.__setattr__(self, "alpha", _probability("alpha", self.alpha))
-            object.__setattr__(self, "sigma", _sigma("sigma", self.sigma))
-            if self.kind == "subspace":
-                _instance("per_coordinate", self.per_coordinate, bool)
-                if truth.shape[0] != _instance("space", self.space, Subspace).n:
-                    raise DomainError(
-                        f"truth has length {truth.shape[0]} but the subspace grid is {self.space.n}"
-                    )
+            else:
+                object.__setattr__(self, name, check(name, value))
+        if grid is not None and truth.shape[0] != (size := getattr(self, grid[0]).n):
+            raise DomainError(f"truth has length {truth.shape[0]} but the {grid[1]} grid is {size}")
 
     @property
     def n(self) -> int:
@@ -262,7 +260,6 @@ def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
         raise DomainError(
             f"rep + count must be at most 2**64, got rep={rep!r}, count={count!r}"
         )
-    raw = np.empty((1 if count is None else count, n), dtype=np.uint64)
     try:
         bitgen, state = _IDLE_PHILOX.pop()
     except IndexError:
@@ -272,11 +269,13 @@ def _words(seed: int, rep: int, n: int, count: int | None) -> np.ndarray:
         state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     key[0] = seed % 2**64
-    for i, row in enumerate(raw):
+    rows = []
+    for i in range(count or 1):
         key[1] = rep + i
         bitgen.state = state
-        row[:] = bitgen.random_raw(n)
+        rows.append(bitgen.random_raw(n))
     _IDLE_PHILOX.append((bitgen, state))
+    raw = np.array(rows)
     raw >>= np.uint64(11)
     return raw.view(np.int64)
 
@@ -288,9 +287,13 @@ def _uniform(k: np.ndarray) -> np.ndarray:
     return k * 2.0**-53 + 2.0**-54
 
 
-def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """The words ``[lo, hi]`` of each coordinate whose draw the Bonferroni
-    band of half-width ``half`` covers.
+# One configuration is kept: the truth's float64 bytes and two int64 ends
+# per coordinate, 24 bytes each.
+@functools.lru_cache(maxsize=1)
+def _window_ends(truth: bytes, sigma: float, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only words ``[lo, hi]`` of each coordinate whose draw the
+    Bonferroni band of half-width ``half`` covers, for the truth whose
+    float64 bytes are ``truth``.
 
     With ``y = f + sigma * normal_quantile(_uniform(k))``, coordinate ``i`` is
     covered by the band's test ``y - half <= f <= y + half`` exactly for the
@@ -303,28 +306,14 @@ def _bonferroni_window(f: np.ndarray, sigma: float, half: float) -> tuple[np.nda
     IEEE rounding is monotone.  So ``f <= y + half`` can only turn true as
     ``k`` grows, and ``y - half <= f`` only false.
 
-    Both switches are found once per distinct truth value
-    (:func:`_window_ends`), and the ends of the last configuration are kept:
-    a second run of one configuration only indexes them.
+    Both switches are found once per distinct truth value: each is guessed
+    from ``ndtr(-+half / sigma)`` and confirmed by testing the adjacent words
+    around the guess, both ends of every value in one ``normal_quantile``
+    call; where those words do not show the switch, a bisection over all
+    ``2^53`` words finds it.  The ends of the last configuration are kept, so
+    a second run of one configuration searches nothing.
     """
-    values, index = np.unique(f, return_inverse=True)
-    lo, hi = _window_ends(values.tobytes(), sigma, half)
-    return lo[index], hi[index]
-
-
-# One configuration is kept: two int64 ends and the float64 key per distinct
-# truth value, 24 bytes each.
-@functools.lru_cache(maxsize=1)
-def _window_ends(values: bytes, sigma: float, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only window ends ``lo, hi`` of the sorted distinct truth
-    values whose float64 bytes are ``values`` (see :func:`_bonferroni_window`).
-
-    Each switch is guessed from ``ndtr(-+half / sigma)`` and confirmed by
-    testing the adjacent words around the guess, both ends of every value in
-    one ``normal_quantile`` call; where those words do not show the switch,
-    a bisection over all ``2^53`` words finds it.
-    """
-    values = np.frombuffer(values, dtype=np.float64)
+    values, index = np.unique(np.frombuffer(truth, dtype=np.float64), return_inverse=True)
     m = values.size
     # Entry i < m stands for the lower end of values[i], entry m + i for the
     # upper end.
@@ -361,8 +350,10 @@ def _window_ends(values: bytes, sigma: float, half: float) -> tuple[np.ndarray, 
         below[live] = np.where(holds, below[live], mid)
     first[open_] = above
     first[m:] -= 1
-    first.flags.writeable = False
-    return first[:m], first[m:]
+    # take's result owns its data, so no view of it can be made writeable.
+    ends = first.reshape(2, m).take(index, axis=1)
+    ends.flags.writeable = False
+    return ends[0], ends[1]
 
 
 def _step(scenario: Scenario):
@@ -376,7 +367,7 @@ def _step(scenario: Scenario):
     f, n, seed = scenario.truth, scenario.n, scenario.seed
     if scenario.kind == "bonferroni":
         half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
-        lo, hi = _bonferroni_window(f, scenario.sigma, half)
+        lo, hi = _window_ends(f.tobytes(), scenario.sigma, half)
 
         def words_step(start, count):  # the truth is the one candidate
             k = _words(seed, start, n, count)
@@ -417,10 +408,11 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
     surrogate candidates of an adaptive run, which so fails its feasibility
     check (:class:`~surrband.errors.FeasibilityError`) before any sampling,
     the half-width of a subspace run, the half-width and word windows of a
-    Bonferroni run (the windows kept from the last run when its
-    configuration repeats).  Replications are then cut into blocks of
-    ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of that size,
-    and walked in order on the calling thread, one block step each.
+    Bonferroni run (the windows kept from the last run when its truth,
+    ``sigma`` and half-width repeat).  Replications are then cut into
+    blocks of ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of
+    that size, and walked in order on the calling thread, one block step
+    each.
     """
     _instance("scenario", scenario, Scenario)
     if width_threshold is not None:

@@ -272,6 +272,21 @@ class TestBand:
                 value = float(field)
                 assert repr(value) == field
 
+    def test_sidecar_writes_an_overflowed_statistic_as_null(self, tmp_path):
+        # The residual sum of squares of +-1e200 overflows to inf, which JSON
+        # cannot hold: the sidecar must parse without Infinity or NaN.
+        y = [1e200 if i % 2 == 0 else -1e200 for i in range(64)]
+        cfg = _write_config(tmp_path, _band_config(
+            y=y, subspace={"kind": "dyadic", "dims": [1, 4]}, gamma=0.3, sigma=1.0,
+            tuning={"auto": "achievable"},
+        ))
+        out = tmp_path / "band.csv"
+        with np.errstate(over="ignore"):
+            assert main(["band", "--config", cfg, "--out", str(out)]) == 0
+        text = (tmp_path / "band.csv.json").read_text()
+        sidecar = json.loads(text, parse_constant=cli._reject_constant)
+        assert sidecar["tStats"] == [None, None]
+
 
 class TestBounds:
     def test_designed_equality(self, tmp_path, capsys):

@@ -331,7 +331,7 @@ class TestBlocks:
         assert self._check_against_band_calls(monkeypatch, s) == 0
         assert simulate._window_ends.cache_info().hits >= 1
 
-    @pytest.mark.parametrize("change", ["sigma", "alpha", "truth"])
+    @pytest.mark.parametrize("change", ["sigma", "alpha", "truth", "permuted"])
     def test_a_changed_configuration_recomputes_its_window(self, monkeypatch, change):
         f = np.sin(6.0 * np.arange(1, 34) / 33)
         fields = {"truth": f, "reps": 300, "seed": 5, "alpha": 0.05, "sigma": 0.5}
@@ -339,6 +339,8 @@ class TestBlocks:
         if change == "truth":
             fields["truth"] = f.copy()
             fields["truth"][3] += 0.25
+        elif change == "permuted":  # the same distinct values in another order
+            fields["truth"] = f[::-1].copy()
         else:
             fields[change] *= 1.5
         # One call on the guesses at least; the kept window is not reused.
@@ -347,17 +349,16 @@ class TestBlocks:
     def test_kept_window_ends_are_read_only_and_one_configuration(self):
         assert simulate._window_ends.cache_info().maxsize == 1
         f = np.array([0.0, 0.5, 0.5, -1.0])
-        lo, hi = simulate._window_ends(np.unique(f).tobytes(), 1.0, 2.5)
+        lo, hi = simulate._window_ends(f.tobytes(), 1.0, 2.5)
         for ends in (lo, hi):
-            assert not ends.flags.writeable
+            assert ends.shape == (f.size,) and not ends.flags.writeable
             with pytest.raises(ValueError):
                 ends[0] = 0
             with pytest.raises(ValueError):
                 ends.flags.writeable = True
-        # The per-coordinate windows are fresh arrays the caller may write.
-        lo_f, hi_f = simulate._bonferroni_window(f, 1.0, 2.5)
-        assert lo_f.flags.writeable and hi_f.flags.writeable
-        assert np.array_equal(lo_f, lo[[1, 2, 2, 0]]) and np.array_equal(hi_f, hi[[1, 2, 2, 0]])
+        # Each coordinate takes the ends of its value among the sorted distinct ones.
+        lo_v, hi_v = simulate._window_ends(np.unique(f).tobytes(), 1.0, 2.5)
+        assert np.array_equal(lo, lo_v[[1, 2, 2, 0]]) and np.array_equal(hi, hi_v[[1, 2, 2, 0]])
 
 
 class TestBonferroniWindow:
@@ -388,9 +389,10 @@ class TestBonferroniWindow:
              "1e-9": 1e-9 * np.sin(6.0 * x)}[truth]
         if search == "bisection":
             monkeypatch.setattr(simulate, "special", SimpleNamespace(ndtr=lambda x: 0.5))
+            simulate._window_ends.cache_clear()  # no ends kept from the guesses
         near = np.arange(-256, 257)
         for half in (simulate._bonferroni_half_width(n, 0.05, sigma), 8.2 * sigma):
-            lo, hi = simulate._bonferroni_window(f, sigma, half)
+            lo, hi = simulate._window_ends(f.tobytes(), sigma, half)
             assert np.all(lo <= hi)
             for i in range(n):
                 k = np.concatenate([lo[i] + near, hi[i] + near, [0, 2**53 - 1]])

@@ -115,7 +115,7 @@ def test_run_walks_one_block_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, names", [
-    ("bonferroni", ("_bonferroni_window",)),
+    ("bonferroni", ("_window_ends",)),
     ("adaptive", ("_plan", "surrogate_set")),
     ("subspace", ("_subspace_half_width",)),
 ])
