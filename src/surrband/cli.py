@@ -27,10 +27,11 @@ checked against its table before any numerics run, and nothing is coerced:
   key (``perCoordinate``, for instance, is accepted only with
   ``"procedure": "subspace"``).
 
-Exit codes: 0 success, 2 invalid arguments or config (domain errors, or a
-config too large to allocate), 3 infeasible narrowness level (the message
-carries the smallest feasible ``gamma``).  All JSON output is serialized with sorted keys and 2-space
-indentation so identical runs produce identical bytes.
+Exit codes: 0 success; 2 invalid arguments or config (domain errors, a config
+too large to allocate, or a ``band`` narrower than one ulp of its centre,
+which writes no file); 3 infeasible narrowness level (the message carries the
+smallest feasible ``gamma``).  All JSON output is serialized with sorted keys
+and 2-space indentation so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -391,7 +392,14 @@ def _cmd_constants(cfg: dict, args) -> int:
 def _cmd_band(cfg: dict, args) -> int:
     y = np.asarray(cfg["y"], dtype=np.float64)
     scale = _build_scale(cfg, y.shape[0])
-    band = adaptive_band_nested(scale, y, _build_params(cfg, scale))
+    params = _build_params(cfg, scale)
+    with np.errstate(over="ignore"):  # an overflowed statistic is written as null
+        band = adaptive_band_nested(scale, y, params)
+    if np.any(band.lower == band.upper):  # such rows would not show the interval
+        raise DomainError(
+            f"the band's half-width {band.width / 2.0!r} is below the spacing of doubles "
+            "at its centre; rescale y and sigma"
+        )
     lines = ["x,lower,center,upper"]
     for xi, lo, ce, up in zip(DesignGrid(scale.n).x, band.lower, band.center, band.upper):
         lines.append(f"{float(xi)!r},{float(lo)!r},{float(ce)!r},{float(up)!r}")

@@ -15,13 +15,15 @@ strictly increasing, genuinely nested chain of subspaces, and the extremal
 norm-conversion helpers tied to the leverage number ``omega``.  A function
 system is stored as its dense ``(d, n)`` basis; a dyadic block subspace
 stores only its block boundaries, projects by block means in O(n), and builds
-its basis only when asked for it.  Each kind has one projection routine,
-``_project``, of a vector or of each row of a ``(k, n)`` block alike.
+its basis only when asked for it.  Each kind has one loop-free projection,
+``_project``, of a vector or of each row of a ``(k, n)`` block alike; a row
+of a block gets the bits of that row projected alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import math
@@ -99,10 +101,7 @@ class DesignGrid:
 class Subspace:
     """A ``d``-dimensional subspace with rows orthonormal in normalized units.
 
-    ``omega`` is the leverage number ``max_i sqrt(sum_j basis[j,i]^2 / n)``:
-    the largest ratio ``|v_i| / (sqrt(n) * norm2(v))`` achievable by a member
-    ``v`` of the subspace.  It always lies in ``(0, 1]``.  Instances are
-    immutable; ``basis`` is read-only.
+    Instances are immutable; ``basis`` is read-only.
     """
 
     def __init__(self, basis):
@@ -119,14 +118,16 @@ class Subspace:
                 "product; use orthonormalize() first"
             )
         b.setflags(write=False)
-        self._freeze(n=n, d=d, omega=_omega(np.sum(b * b, axis=0) / n), _rows=b)
-
-    def _freeze(self, **attributes) -> None:
-        for name, value in attributes.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(n=n, d=d, _rows=b)  # past __setattr__, as cached_property does
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def omega(self) -> float:
+        """The leverage number, the largest entry of :meth:`leverage_profile`;
+        it lies in ``(0, 1]``.  Computed on first read."""
+        return float(np.max(self.leverage_profile()))
 
     @property
     def basis(self) -> np.ndarray:
@@ -145,30 +146,23 @@ class Subspace:
     def _project(self, y: np.ndarray) -> np.ndarray:
         """:meth:`project`, bit for bit, of a checked float vector of length
         ``n`` or of each row of a ``(k, n)`` block; the band plan calls it.
-        Row by row, as the rows of ``Y @ B.T`` are not bitwise ``B @ y``."""
-        if y.ndim == 1:
-            return (self._rows @ y / self.n) @ self._rows
-        out = np.empty_like(y)
-        for i, row in enumerate(y):
-            out[i] = self._project(row)
-        return out
+        ``matvec`` and ``vecmat`` run one gemv per row, as ``B @ y`` does,
+        where the rows of ``Y @ B.T`` would not have its bits; a C-contiguous
+        input keeps a one-row level on that BLAS path too."""
+        coefficients = np.matvec(self._rows, np.ascontiguousarray(y)) / self.n
+        return np.vecmat(coefficients, self._rows)
 
     def leverage_profile(self) -> np.ndarray:
-        """Per-coordinate leverage ``sqrt(sum_j basis[j,i]^2 / n)``.
-
-        The maximum of this profile is ``omega``; entry ``i`` equals the
-        ratio ``|v_i| / (sqrt(n)*norm2(v))`` for the subspace member peaking
-        at coordinate ``i``.
-        """
+        """Per-coordinate leverage ``sqrt(sum_j basis[j,i]^2 / n)``: entry
+        ``i`` is the largest ratio ``|v_i| / (sqrt(n) * norm2(v))`` of a
+        member ``v`` of the subspace."""
         return np.sqrt(np.sum(self._rows * self._rows, axis=0) / self.n)
 
     def _within(self, finer: "Subspace") -> bool:
         """Whether every basis row reconstructs from ``finer`` to within
         ``_NESTING_TOL`` in sup norm."""
-        return all(
-            float(np.max(np.abs(row - finer.project(row)))) <= _NESTING_TOL
-            for row in self.basis
-        )
+        rows = self.basis
+        return float(np.max(np.abs(rows - finer._project(rows)))) <= _NESTING_TOL
 
 
 class _Blocks(Subspace):
@@ -184,10 +178,7 @@ class _Blocks(Subspace):
         starts = np.zeros(sizes.shape[0], dtype=np.intp)
         np.cumsum(sizes[:-1], out=starts[1:])
         heights = np.sqrt(n / sizes)
-        self._freeze(
-            n=n, d=sizes.shape[0], omega=_omega(heights * heights / n),
-            _starts=starts, _sizes=sizes, _heights=heights,
-        )
+        self.__dict__.update(n=n, d=sizes.shape[0], _starts=starts, _sizes=sizes, _heights=heights)
 
     @property
     def basis(self) -> np.ndarray:
@@ -216,10 +207,6 @@ class _Blocks(Subspace):
         if isinstance(finer, _Blocks):
             return bool(np.all(np.isin(self._starts, finer._starts)))
         return super()._within(finer)
-
-
-def _omega(leverage: np.ndarray) -> float:
-    return math.sqrt(float(np.max(leverage)))
 
 
 def orthonormalize(rows) -> np.ndarray:

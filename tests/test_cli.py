@@ -272,20 +272,39 @@ class TestBand:
                 value = float(field)
                 assert repr(value) == field
 
-    def test_sidecar_writes_an_overflowed_statistic_as_null(self, tmp_path):
-        # The residual sum of squares of +-1e200 overflows to inf, which JSON
-        # cannot hold: the sidecar must parse without Infinity or NaN.
-        y = [1e200 if i % 2 == 0 else -1e200 for i in range(64)]
-        cfg = _write_config(tmp_path, _band_config(
-            y=y, subspace={"kind": "dyadic", "dims": [1, 4]}, gamma=0.3, sigma=1.0,
+    @staticmethod
+    def _alternating_config(tmp_path, size, sigma):
+        y = [size if i % 2 == 0 else -size for i in range(64)]
+        return _write_config(tmp_path, _band_config(
+            y=y, subspace={"kind": "dyadic", "dims": [1, 4]}, gamma=0.3, sigma=sigma,
             tuning={"auto": "achievable"},
         ))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sidecar_writes_an_overflowed_statistic_as_null(self, tmp_path, capsys):
+        # The residual sum of squares of +-1e155 overflows to inf, which JSON
+        # cannot hold: the sidecar must parse without Infinity or NaN, and
+        # the overflow prints no warning.  At sigma = 1e140 the half-width is
+        # still wider than one ulp of the data, so the band is written.
+        cfg = self._alternating_config(tmp_path, 1e155, 1e140)
         out = tmp_path / "band.csv"
-        with np.errstate(over="ignore"):
-            assert main(["band", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["band", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         text = (tmp_path / "band.csv.json").read_text()
         sidecar = json.loads(text, parse_constant=cli._reject_constant)
-        assert sidecar["tStats"] == [None, None]
+        assert sidecar["tStats"] == [None, None] and sidecar["selectedLevel"] == 3
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+        assert len(rows) == 64 and all(lo < up for _, lo, _, up in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_narrower_than_one_ulp_of_its_centre_is_refused(self, tmp_path, capsys):
+        # At +-1e200 and sigma = 1 one ulp of the centre exceeds the
+        # half-width, so every row would read lower == center == upper.
+        cfg = self._alternating_config(tmp_path, 1e200, 1.0)
+        out = tmp_path / "band.csv"
+        assert main(["band", "--config", cfg, "--out", str(out)]) == 2
+        assert "below the spacing of doubles at its centre" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestBounds:

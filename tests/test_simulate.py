@@ -448,6 +448,44 @@ class TestGoldenReports:
         assert report.true_coverage == 0.87
         assert _digest(report) == "131eeb701136d6f09ab5e4375332a87f70a2f08871656f0cb60bbeed046cf124"
 
+    # Dense levels (cosine rows) in an adaptive walk, alone and after a block
+    # level: the band call projects a vector, the Monte Carlo walk a block.
+    _DENSE_CHAINS = {
+        "cosine": lambda: NestedScale((cosine_basis(64, 2), cosine_basis(64, 6))),
+        "mixed": lambda: NestedScale((dyadic_blocks(64, 1), cosine_basis(64, 4), cosine_basis(64, 8))),
+    }
+
+    def _dense_chain(self, chain):
+        scale = self._DENSE_CHAINS[chain]()
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        return scale, params, 2.0 * np.cos(np.pi * np.arange(1, 65) / 64)
+
+    @pytest.mark.parametrize("chain, histogram, digest", [
+        pytest.param("cosine", {"1": 303, "2": 13, "3": 84},
+                     "6933903a792cf0389ef5eecef41d891bd62a7a5d9ce768296e044f588e80c19e", id="cosine"),
+        pytest.param("mixed", {"1": 0, "2": 303, "3": 12, "4": 85},
+                     "3473e3f5f18dc7c2c22be41624834171fe75d7ca842bb0d5d231fb3b6769dff9", id="mixed"),
+    ])
+    def test_adaptive_dense_chain(self, chain, histogram, digest):
+        scale, params, truth = self._dense_chain(chain)
+        s = Scenario(kind="adaptive", truth=truth, reps=400, seed=11, scale=scale, params=params)
+        report = run(s, width_threshold=level_widths(scale, params)[0])
+        assert report.level_histogram == histogram
+        assert _digest(report) == digest
+
+    @pytest.mark.parametrize("chain, digest", [
+        pytest.param("cosine", "339b16a933e83702952983a6c2081a454ec78b6457c364f9fdc085799e62f77b", id="cosine"),
+        pytest.param("mixed", "e3389dbaf058dafcc59178739ae35e134bed609f351db8f19c29e53f10018257", id="mixed"),
+    ])
+    def test_adaptive_dense_chain_band_calls(self, chain, digest):
+        # The lower, upper and t_stats bits of 100 band calls on seeded draws.
+        scale, params, truth = self._dense_chain(chain)
+        h = hashlib.sha256()
+        for rep in range(100):
+            band = adaptive_band_nested(scale, truth + gaussian_draw(12, rep, 64), params)
+            h.update(band.lower.tobytes() + band.upper.tobytes() + np.array(band.t_stats).tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestRunMatchesBandCalls:
     def test_every_replication(self):
@@ -478,7 +516,7 @@ class TestRunMatchesBandCalls:
     @pytest.mark.parametrize("case", ["n100-spoiler", "n100-zero", "cosine-spoiler", "cosine-zero"])
     def test_every_replication_other_scales(self, case):
         # n=100 draws uneven blocks of 40 replications; the cosine scale
-        # projects row by row; a zero truth has one surrogate candidate.
+        # projects a dense block; a zero truth has one surrogate candidate.
         if case.startswith("n100"):
             scale = dyadic_scale(100, [1, 5, 10])
         else:

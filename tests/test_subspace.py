@@ -364,13 +364,14 @@ class TestNestedScale:
                     assert accepted(blocks) == accepted(dense), (n, a, b)
 
     def test_only_mixed_chains_project(self, monkeypatch):
+        # Subspace._project is the dense routine; _Blocks has its own.
         calls = []
-        project = Subspace.project
-        monkeypatch.setattr(Subspace, "project", lambda s, y: calls.append(s.d) or project(s, y))
+        project = Subspace._project
+        monkeypatch.setattr(Subspace, "_project", lambda s, y: calls.append((s.d, y.shape)) or project(s, y))
         dyadic_scale(64, [1, 4, 16])
         assert calls == []
         NestedScale((dyadic_blocks(64, 1), cosine_basis(64, 3)))
-        assert calls == [3]  # one row of the coarse level, projected on the cosines
+        assert calls == [(3, (1, 64))]  # the coarse basis, one block on the cosines
         with pytest.raises(DomainError, match="level 1 is not contained in level 2"):
             NestedScale((dyadic_blocks(64, 2), cosine_basis(64, 3)))
         with pytest.raises(DomainError, match="level 1 is not contained in level 2"):

@@ -192,9 +192,11 @@ def test_argument_checks_live_in_specfun():
     assert not found, found
 
 
-# Routines whose work one routine took over: a subspace projects a vector and
-# a block alike through its one _project.  None may come back in any module.
-_DELETED_NAMES = ("_project_rows",)
+# Routines whose work another took over: a subspace projects a vector and a
+# block alike through its one _project, omega is the largest entry of the
+# leverage profile, and attributes are written straight into __dict__.  None
+# may come back in any module.
+_DELETED_NAMES = ("_project_rows", "_omega", "_freeze")
 
 
 def test_deleted_names_stay_deleted():
@@ -206,6 +208,17 @@ def test_deleted_names_stay_deleted():
         if name in line
     ]
     assert not found, found
+
+
+def test_no_projection_loops():
+    # Each subspace kind projects a vector or a (k, n) block in numpy calls;
+    # a Python loop over rows can come back only by changing this test.
+    tree = ast.parse((PACKAGE / "subspace.py").read_text())
+    projections = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_project"]
+    assert len(projections) == 2
+    loops = (ast.For, ast.While, ast.comprehension)
+    for function in projections:
+        assert not any(isinstance(node, loops) for node in ast.walk(function)), function.lineno
 
 
 def test_every_band_is_built_in_one_place():
