@@ -266,8 +266,9 @@ def _level_halves(scale: NestedScale, params: BandParams) -> tuple[float, ...]:
 class _Plan:
     """The data-independent part of the adaptive band for one configuration.
 
-    Holds each level's projection, chi-square cutoff and half-width, and the
-    fallback half-width, so that a band costs only its residual tests.
+    Holds each level's projection, chi-square cutoff, half-width and the
+    residual norm at which its test turns, and the fallback half-width, so
+    that a band costs only its residual tests.
     :meth:`scan` tests one vector at every level, for the band call;
     :meth:`walk` tests a block of replications, each row up to its first
     accepted level, for the Monte Carlo run.  Both divide each residual sum
@@ -284,6 +285,8 @@ class _Plan:
         # Entry j is the half-width of the 1-based level j, entry 0 unused:
         # scan reads its level's entry, the block walk every row's at once.
         self.halves = np.array((math.nan,) + _level_halves(scale, params))
+        # The residual norm at which each level's test turns, sigma * sqrt(cutoff).
+        self.edges = tuple(params.sigma * math.sqrt(cutoff) for cutoff in self.cutoffs)
 
     def scan(self, y: np.ndarray):
         """Residual tests of the vector ``y`` at every level.
@@ -311,20 +314,32 @@ class _Plan:
 
         Each level projects only the rows that no coarser level accepted, and
         a row stops at its first accepted level.  Returns ``(selected, center,
-        half)``: per row the 1-based accepted level (``m + 1`` for the
+        half, gap)``: per row the 1-based accepted level (``m + 1`` for the
         fallback), the band centre (``Y`` itself, not a copy, where no row was
-        accepted) and the half-width.  Row ``i`` gives what :meth:`scan` gives
-        for ``Y[i]``, bit for bit.
+        accepted), the half-width, and the smallest distance
+        ``|norm(resid) - sigma * sqrt(cutoff)|`` over the levels it tested
+        (NaN where a statistic is).  Row ``i`` gives what :meth:`scan` gives
+        for ``Y[i]``, bit for bit.  The gap bounds how far a row may move
+        before a test it took could turn (see :func:`surrband.simulate._step`).
         """
         selected = np.full(Y.shape[0], len(self.levels) + 1)
+        gap = np.full(Y.shape[0], np.inf)
         center, live, rows = Y, None, Y  # live: indices of the rows in rows, None for all
-        for j, (space, cutoff) in enumerate(zip(self.levels, self.cutoffs), start=1):
+        for j, (space, cutoff, edge) in enumerate(
+            zip(self.levels, self.cutoffs, self.edges), start=1
+        ):
             proj = space._project(rows)
             resid = rows - proj
             # vecdot runs the ddot of resid @ resid on each row, so the
             # statistics are scan's bit for bit (einsum and (R * R).sum(1)
             # add in other orders).
-            accept = np.vecdot(resid, resid) / self.variance <= cutoff
+            squares = np.vecdot(resid, resid)
+            accept = squares / self.variance <= cutoff
+            near = np.abs(np.sqrt(squares) - edge)
+            if live is None:
+                np.minimum(gap, near, out=gap)
+            else:
+                gap[live] = np.minimum(gap[live], near)
             hits = np.count_nonzero(accept)
             if hits == 0:
                 continue
@@ -339,7 +354,7 @@ class _Plan:
                 break
             live = np.flatnonzero(~accept) if live is None else live[~accept]
             rows = rows[~accept]
-        return selected, center, self.halves[selected]
+        return selected, center, self.halves[selected], gap
 
 
 # The plan of each live scale and the params it was built for.  A plan holds

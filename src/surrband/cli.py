@@ -28,9 +28,10 @@ checked against its table before any numerics run, and nothing is coerced:
   ``"procedure": "subspace"``).
 
 Exit codes: 0 success; 2 invalid arguments or config (domain errors, a config
-too large to allocate, or a ``band`` narrower than one ulp of its centre,
-which writes no file); 3 infeasible narrowness level (the message carries the
-smallest feasible ``gamma``).  All JSON output is serialized with sorted keys
+too large to allocate, a ``band`` narrower than one ulp of its centre, or a
+``simulate`` truth at which the narrowest half-width is below the spacing of
+doubles, neither of which writes a file); 3 infeasible narrowness level (the
+message carries the smallest feasible ``gamma``).  All JSON output is serialized with sorted keys
 and 2-space indentation so identical runs produce identical bytes.
 """
 

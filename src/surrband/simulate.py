@@ -13,13 +13,24 @@ bisection: this is draw stream v1, the same noise as ever.
 
 Each procedure has one set-up, done once per run, and one block step (see
 :func:`_step`).  Replications are cut into blocks on one grid and walked in
-order, serially, one step per block.  An adaptive or subspace step draws
-the noise of its block in one call, gives each row a centre and a
-half-width (the block walk of the private band plan of :mod:`surrband.bands`,
-or the projection of the block), and checks the rows' bands against the
-surrogate candidates (outside the adaptive procedure, the truth alone) in
-one comparison.  There is no per-replication Python loop, and each row has
-the same bits as a single draw and a single band call.
+order, serially, one step per block.  An adaptive or subspace step keys
+Philox once for its block, gives each row a centre and a half-width (the
+block walk of the private band plan of :mod:`surrband.bands`, or the
+projection of the block), and checks the rows' bands against the surrogate
+candidates (outside the adaptive procedure, the truth alone) in one
+comparison.  There is no per-replication Python loop, and each row has the
+same bits as a single draw and a single band call.
+
+Such a report depends on the noise only through yes/no decisions: each
+level's residual test and each candidate's coverage.  So, as a filtered
+geometric predicate does, a step takes them on a certified approximation
+of the draw, the low ends of the brackets that the first stage of the v1
+quantile gives, and runs the quantile's last rounds only for a row whose
+residual norm or candidate lies within that row's radius of a turning
+point (see :func:`_step`, which derives the radius).  Every decision is
+that of the full draw, and the stream stays v1.  A run refuses a truth at
+which its narrowest half-width is below the spacing of doubles: every draw
+would round back to the truth there.
 
 A Bonferroni report depends on the noise only through one yes/no per
 coordinate, and that answer is a window of the Philox words.  The v1
@@ -62,6 +73,8 @@ from .bands import (  # noqa: F401
 )
 from .errors import DomainError
 from .specfun import (
+    _Z_BRACKET_VEC,
+    _cells,
     _count,
     _finite,
     _instance,
@@ -70,10 +83,11 @@ from .specfun import (
     _positive,
     _probability,
     _require,
+    _rounds,
     _sigma,
     normal_quantile,
 )
-from .subspace import NestedScale, Subspace, _as_vector, norm2, sup_norm
+from .subspace import _ORTHO_TOL, NestedScale, Subspace, _as_vector, _Blocks, norm2, sup_norm
 from .surrogate import surrogate_set
 
 __all__ = [
@@ -220,6 +234,12 @@ _BLOCK_VALUES = 2**12
 _WORDS = 2**53
 _NEAR = 2
 
+# The rounding unit, and the part of a row's radius (see _step) that covers
+# underflow: above sqrt(n * 2^-1074), all that underflow can take from a sum
+# of n squares, for any n below 2^74.
+_EPS = float(np.finfo(np.float64).eps)
+_UNDERFLOW = 2.0**-500
+
 
 def gaussian_draw(seed: int, rep: int, n: int, count: int | None = None) -> np.ndarray:
     """The ``n`` standard normal deviates of replication ``rep``.
@@ -356,17 +376,66 @@ def _window_ends(truth: bytes, sigma: float, half: float) -> tuple[np.ndarray, n
     return ends[0], ends[1]
 
 
+def _check_resolution(f: np.ndarray, half) -> None:
+    """Refuse a truth at which the narrowest half-width ``half`` (a float, or
+    one per coordinate) is lost to rounding, ``f - half == f + half``: there
+    the noise is too, and coverage would mean nothing."""
+    if np.any(f - half == f + half):
+        raise DomainError(
+            f"the half-width {float(np.min(half))!r} is below the spacing of doubles "
+            "at the truth; rescale the truth and sigma"
+        )
+
+
 def _step(scenario: Scenario):
     """The block step of ``scenario``'s procedure, its set-up done here once.
 
     ``step(start, count)`` gives, for replications ``start`` on, the
     ``(count, c)`` coverage of the ``c`` candidates, the truth last, the
     widths (one float where all rows share it) and the accepted levels
-    (``None`` outside the adaptive procedure).
+    (``None`` outside the adaptive procedure).  The set-up refuses a truth
+    at which the narrowest half-width is below the spacing of doubles
+    (:class:`~surrband.errors.DomainError`), before the surrogate set.
+
+    An adaptive or subspace step decides each row on a certified
+    approximation of its draw and finishes the draw only where a decision
+    could turn.  The first stage of the v1 quantile,
+    :func:`~surrband.specfun._cells`, brackets each normal ``z`` of the
+    draw in ``[lo, hi]``.  With ``sigma > 0`` and monotone IEEE rounding,
+    ``Yh = f + sigma * lo`` and ``f + sigma * hi`` bracket the exact draw
+    ``Y``, so ``|Y - Yh| <= D = (f + sigma * hi) - Yh`` entrywise.  Each row
+    is stepped on ``Yh`` and gets the radius
+
+        ``rho = stretch * |D| + tau * (|Yh| + |D| + top) + _UNDERFLOW``
+
+    (``|.|`` the Euclidean norm of the row).  Projections are contractions
+    (``stretch`` is 1, or ``1 + 2 d * 1e-8`` for a dense basis, which
+    :class:`~surrband.subspace.Subspace` checks orthonormal to 1e-8), so a
+    residual norm and every centre coordinate move by at most
+    ``stretch * |Y - Yh|`` in exact arithmetic.  ``tau = 16 n d eps``
+    (``d`` the largest dense dimension, 1 for block levels only) bounds,
+    deliberately loosely, what rounding adds to that on either draw: a
+    dense projection's two gemv passes err by about
+    ``(n + d) sqrt(d) eps |y|`` and a block mean by ``n eps |y|``, and the
+    residual sum, the cutoff and the band's edges by a few ``eps`` of
+    ``|y|`` or of ``top``, the widest half-width.  ``_UNDERFLOW = 2^-500``
+    covers underflow.
+
+    A row is finished when its residual tests' smallest gap
+    (:meth:`~surrband.bands._Plan.walk`) or its coverage margin (the least
+    distance from a candidate to an edge of the band, over coordinates and
+    candidates) is not above ``rho``: it gets the quantile's remaining
+    rounds (:func:`~surrband.specfun._rounds`) and is stepped again on its
+    exact draw.  Every other row keeps the level, width and coverage
+    decided on ``Yh``, which are those of ``Y``.  A configuration whose
+    values could overflow, ``n * (max|f| + 9.5 sigma + top) >= 2^480`` with
+    9.5 the quantile's bound, finishes every row.  The report is that of
+    the full draw, bit for bit: the stream stays v1.
     """
     f, n, seed = scenario.truth, scenario.n, scenario.seed
     if scenario.kind == "bonferroni":
         half = _bonferroni_half_width(n, scenario.alpha, scenario.sigma)
+        _check_resolution(f, half)
         lo, hi = _window_ends(f.tobytes(), scenario.sigma, half)
 
         def words_step(start, count):  # the truth is the one candidate
@@ -377,25 +446,57 @@ def _step(scenario: Scenario):
 
     if scenario.kind == "adaptive":
         plan, sigma = _plan(scenario.scale, scenario.params), scenario.params.sigma
+        spaces, halves = scenario.scale.levels, plan.halves[1:]
+        _check_resolution(f, np.min(halves))
         found = surrogate_set(scenario.scale, f, scenario.params.tuning)
         candidates = np.stack([c.values for c in found])  # f itself last
 
         def band(block):
-            levels, center, half = plan.walk(block)
-            return center[:, None], half[:, None, None], 2.0 * half, levels
+            levels, center, half, gap = plan.walk(block)
+            return center[:, None], half[:, None, None], 2.0 * half, levels, gap
     else:
         space, sigma = scenario.space, scenario.sigma
         half, width = _subspace_half_width(space, scenario.alpha, sigma, scenario.per_coordinate)
+        spaces, halves = (space,), half
+        _check_resolution(f, half)
         # Outside the adaptive procedure the only surrogate candidate is the truth.
         candidates = f[None]
 
         def band(block):  # subspace_band's arithmetic, row by row
-            return space._project(block)[:, None], half, width, None
+            return space._project(block)[:, None], half, width, None, np.inf
+
+    def decide(block):
+        # Rows against every candidate in one (k, c, n) comparison.
+        center, half, widths, levels, gap = band(block)
+        lower, upper = center - half, center + half
+        return (lower <= candidates) & (candidates <= upper), widths, levels, lower, upper, gap
+
+    dense = max((s.d for s in spaces if not isinstance(s, _Blocks)), default=0)
+    stretch, top = 1.0 + 2.0 * dense * _ORTHO_TOL, float(np.max(halves))
+    tau = 16.0 * n * max(dense, 1) * _EPS
+    if not n * (float(np.max(np.abs(f))) + _Z_BRACKET_VEC * sigma + top) < 2.0**480:
+        tau = math.inf
 
     def step(start, count):
-        center, half, widths, levels = band(f + sigma * gaussian_draw(seed, start, n, count))
-        # Rows against every candidate in one (k, c, n) comparison.
-        covered = (center - half <= candidates) & (candidates <= center + half)
+        u = _uniform(_words(seed, start, n, count))
+        lo, hi = (ends.reshape(count, n) for ends in _cells(u.reshape(-1)))
+        # Values can overflow only where tau, and so every radius, is inf:
+        # those rows are finished below, where numpy warns as for any draw.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = f + sigma * lo.view(np.float64)
+            spread = f + sigma * hi.view(np.float64)
+            spread -= y
+            size = np.sqrt(np.vecdot(spread, spread))
+            radius = stretch * size + tau * (np.sqrt(np.vecdot(y, y)) + size + top) + _UNDERFLOW
+            covered, widths, levels, lower, upper, gap = decide(y)
+            margin = np.minimum(np.abs(candidates - lower), np.abs(upper - candidates))
+            sure = np.minimum(gap, margin.min(axis=(1, 2))) > radius
+        redo = ~sure
+        if redo.any():
+            z = _rounds(u[redo].ravel(), lo[redo].ravel(), hi[redo].ravel())
+            covered[redo], redone, relevels = decide(f + sigma * z.reshape(-1, n))[:3]
+            if levels is not None:
+                widths[redo], levels[redo] = redone, relevels
         return covered.all(axis=2), widths, levels
 
     return step
@@ -409,10 +510,16 @@ def run(scenario: Scenario, *, width_threshold: float | None = None) -> SimRepor
     check (:class:`~surrband.errors.FeasibilityError`) before any sampling,
     the half-width of a subspace run, the half-width and word windows of a
     Bonferroni run (the windows kept from the last run when its truth,
-    ``sigma`` and half-width repeat).  Replications are then cut into
-    blocks of ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of
-    that size, and walked in order on the calling thread, one block step
-    each.
+    ``sigma`` and half-width repeat).  A truth at which the narrowest
+    half-width is below the spacing of doubles raises
+    :class:`~surrband.errors.DomainError` there, before the surrogate set
+    or the windows.  Replications are then cut into blocks of
+    ``max(1, _BLOCK_VALUES // n)``, starting at the multiples of that size,
+    and walked in order on the calling thread, one block step each.  An
+    adaptive or subspace step decides each row on its draw's first-stage
+    bracket and finishes the draw only for rows whose decisions lie within
+    its certified radius, so the report is that of draw stream v1 bit for
+    bit.
     """
     _instance("scenario", scenario, Scenario)
     if width_threshold is not None:

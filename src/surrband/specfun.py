@@ -24,9 +24,9 @@ stream v1 of :mod:`surrband.simulate`, returns the result of its 64 bisection
 steps bit for bit with about 8 ``ndtr`` evaluations per value instead of 64:
 the first 48 to 53 steps compute without rounding, so their bracket is a cell
 of an exact grid, which ``scipy.special.ndtri`` guesses and the bisection's
-own test confirms at both ends; the rest run in rounds of 5, 2 and 4 steps,
-the later rounds only on the brackets still moving.  Its docstring gives the
-argument.
+own test confirms at both ends (``_cells``); the rest run in rounds of 5, 2
+and 4 steps (``_rounds``), the later rounds only on the brackets still
+moving.  Its docstring gives the argument.
 
 The chi-square layer is a validated call into ``scipy.special``: the central
 law through the regularized incomplete gamma function and its inverse, the
@@ -299,6 +299,13 @@ def normal_quantile(u):
     ends, ends in it too.  ``tests/test_specfun.py`` pins the example and
     scans every binade the cells use for reversals over 16 ulps.
 
+    The two stages are two functions, and the quantile is literally
+    ``_rounds(u, *_cells(u))``: :func:`_cells` (one ``ndtri`` and two
+    ``ndtr`` per value) returns a bracket ``[lo, hi]`` that holds the
+    result, and :func:`_rounds` (about 6 more ``ndtr``) finishes it.  A
+    caller that needs only a bound on the result, as the certified block
+    decisions of :mod:`surrband.simulate` do, can stop after the first.
+
     The ``64 - s`` steps left run in three rounds: 5 steps on every value,
     then 2 and then 4 more on the brackets whose midpoint is still neither
     end, and no round once none is.  That is the plain bisection's result
@@ -315,15 +322,23 @@ def normal_quantile(u):
     """
     u = np.asarray(u, dtype=np.float64)
     flat = u.reshape(-1)
-    lo, hi = _bisect(flat, *_cells(flat), 5)
+    return _rounds(flat, *_cells(flat)).reshape(u.shape)[()]
+
+
+def _rounds(u, lo, hi):
+    """The quantile of each 1-d ``u`` from its :func:`_cells` bracket: the
+    rounds of 5, 2 and 4 steps of :func:`normal_quantile`, which leave the
+    arrays given as they are.  Each value's result depends on its own
+    ``u`` and bracket only, so any subset of values gives the same bits."""
+    lo, hi = _bisect(u, lo, hi, 5)
     mid = _midpoint(lo, hi)
     for steps in (2, 4):
         open_ = np.logical_and(lo != mid, hi != mid).nonzero()[0]
         if not open_.size:
             break
-        lo[open_], hi[open_] = _bisect(flat[open_], lo[open_], hi[open_], steps)
+        lo[open_], hi[open_] = _bisect(u[open_], lo[open_], hi[open_], steps)
         mid = _midpoint(lo, hi)
-    return mid.view(np.float64).reshape(u.shape)[()]
+    return mid.view(np.float64)
 
 
 def _midpoint(lo, hi):
@@ -381,8 +396,8 @@ def _cells(u):
     lo, hi = lo.view(np.int64), hi.view(np.int64)
     full = (~ok).nonzero()[0]
     if full.size:
-        # The plain bisection, finished here: the rounds of normal_quantile
-        # need ends that pass and fail the test, as neither cell tried had.
+        # The plain bisection, finished here: _rounds needs ends that pass
+        # and fail the test, as neither cell tried had.
         top = np.full(full.size, _Z_BRACKET_VEC)
         a, b = _bisect(u[full], (-top).view(np.int64), top.view(np.int64), 64)
         lo[full] = hi[full] = _midpoint(a, b)

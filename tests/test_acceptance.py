@@ -336,7 +336,10 @@ class TestAcceptance:
             f"modulus vs grid-search oracle within 5%: worst {worst_rel * 100:.2f}% ({'; '.join(details)})",
         )
 
-    def test_a12_byte_identical_replay(self, monkeypatch):
+    @staticmethod
+    def _a12_reports(monkeypatch):
+        """The A12 report, its rerun and its run on a second block grid, as
+        bytes, and the rows of a default block."""
         import json
 
         scale = dyadic_scale(32, [1, 4])
@@ -349,12 +352,30 @@ class TestAcceptance:
         first = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
         rerun = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
         # A second block grid: 58 blocks of 7 replications, the last one short.
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 7 * scenario.n)
-        regrid = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_BLOCK_VALUES", 7 * scenario.n)
+            regrid = json.dumps(run(scenario).to_dict(), sort_keys=True).encode()
+        return first, rerun, regrid, rows
+
+    def test_a12_byte_identical_replay(self, monkeypatch):
+        first, rerun, regrid, rows = self._a12_reports(monkeypatch)
         ok = first == rerun == regrid
         _verdict(
             "A12",
             ok,
             f"reports byte-identical: rerun {first == rerun}, {rows}-row vs 7-row blocks "
             f"{first == regrid} ({len(first)} bytes)",
+        )
+
+    def test_a12_byte_identical_replay_with_every_row_refined(self, monkeypatch):
+        # An infinite radius finishes every row's draw before its decisions.
+        want = self._a12_reports(monkeypatch)[0]
+        monkeypatch.setattr(simulate, "_UNDERFLOW", math.inf)
+        first, rerun, regrid, _ = self._a12_reports(monkeypatch)
+        ok = want == first == rerun == regrid
+        _verdict(
+            "A12",
+            ok,
+            f"reports byte-identical with every row refined: as certified {want == first}, "
+            f"rerun {first == rerun}, 7-row blocks {first == regrid}",
         )

@@ -622,7 +622,7 @@ class TestBandPlan:
         # The block walk of the one-row block y gives the same band, and
         # projects only up to the accepted level: it stops at acceptance.
         walker, projected = _recording(plan)
-        levels, centers, halves = walker.walk(y[None, :])
+        levels, centers, halves, _ = walker.walk(y[None, :])
         assert projected == [(j, 1) for j in range(1, min(selected, scale.m) + 1)]
         assert levels.tolist() == [selected] and halves.tolist() == [half]
         assert np.array_equal(centers[0], center_ref)
@@ -723,13 +723,21 @@ class TestBlockWalk:
         returns the selected levels."""
         plan = bands._plan(scale, params)
         walker, projected = _recording(plan)
-        levels, centers, halves = walker.walk(block)
-        assert levels.shape == halves.shape == (block.shape[0],)
+        levels, centers, halves, gaps = walker.walk(block)
+        assert levels.shape == halves.shape == gaps.shape == (block.shape[0],)
         assert centers.shape == block.shape
-        for y, level, center, half in zip(block, levels, centers, halves):
+        for y, level, center, half, gap in zip(block, levels, centers, halves, gaps):
             _, want_level, want_center, want_half = plan.scan(y.copy())
             assert level == want_level and half == want_half
             assert np.array_equal(center.view(np.int64), want_center.view(np.int64))
+            # The gap is the least |norm(resid) - sigma * sqrt(cutoff)| over
+            # the levels the row was tested at.
+            tested = zip(scale.levels[: min(level, scale.m)], plan.cutoffs)
+            residuals = [y - space.project(y) for space, _ in tested]
+            assert gap == min(
+                abs(math.sqrt(float(r @ r)) - params.sigma * math.sqrt(cutoff))
+                for r, cutoff in zip(residuals, plan.cutoffs)
+            )
         walking = [int(np.count_nonzero(levels >= j)) for j in range(1, scale.m + 1)]
         assert projected == [(j, k) for j, k in enumerate(walking, start=1) if k]
         return levels
@@ -765,7 +773,7 @@ class TestBlockWalk:
         rough = 40.0 * np.tile([1.0, -1.0], 16)
         block = np.stack([rough, np.zeros(32), -rough])
         assert self._agree(scale, params, block).tolist() == [3, 1, 3]
-        levels, centers, halves = bands._plan(scale, params).walk(rough[None, :])
+        levels, centers, halves, _ = bands._plan(scale, params).walk(rough[None, :])
         assert levels.tolist() == [3] and np.array_equal(centers[0], rough)
 
     def test_full_dimension_level_has_infinite_cutoff(self):

@@ -434,6 +434,26 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert 0.8 <= payload["trueCoverage"] <= 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("procedure, fields", [
+        ("adaptive", {"subspace": {"kind": "dyadic", "dims": [1, 4]}, "gamma": 0.3,
+                      "tuning": {"auto": "achievable"}}),
+        ("bonferroni", {}),
+        ("subspace", {"subspace": {"kind": "dyadic", "d": 4}}),
+    ])
+    def test_truth_too_large_for_its_noise_is_refused(self, tmp_path, capsys, procedure, fields):
+        # At +-1e200 and sigma = 1 every draw rounds back to the truth, so
+        # coverage would mean nothing: exit 2, no report, no warning.
+        cfg = _write_config(tmp_path, {
+            "version": 1, "procedure": procedure, "n": 64, "alpha": 0.1, "sigma": 1.0,
+            "truth": [1e200 if i % 2 == 0 else -1e200 for i in range(64)], "reps": 20, "seed": 1,
+            **fields,
+        })
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "below the spacing of doubles at the truth" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestAlphaSplit:
     """A valid ``alphaSplit`` gives what the library gives for

@@ -9,6 +9,7 @@ spoiler construction against its exact norm targets.
 import hashlib
 import inspect
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from surrband import simulate
+from surrband import bands, simulate, specfun
 from surrband import (
     BandParams,
     DomainError,
@@ -172,6 +173,15 @@ class TestGaussianDraw:
     def test_last_keys_accepted(self):
         block = gaussian_draw(1, 2**64 - 3, 5, 3)
         assert np.array_equal(block[2], gaussian_draw(1, 2**64 - 1, 5))
+
+    def test_quantile_is_the_rounds_of_its_cells(self):
+        # normal_quantile is its two stages in turn, bit for bit: the draws
+        # of the cases above, the smallest uniform and the largest.
+        keys = [(0, 0, 5), (42, 3, 64), (2**64 + 7, 11, 33), (9, 2**40, 7), (2**64 - 1, 2**64 - 3, 33)]
+        grids = [simulate._uniform(simulate._words(*key, None))[0] for key in keys]
+        for u in grids + [np.array([2.0**-54, 1.0])]:
+            want = normal_quantile(u).view(np.int64)
+            assert np.array_equal(specfun._rounds(u, *specfun._cells(u)).view(np.int64), want)
 
 
 class TestRunDeterminism:
@@ -487,6 +497,102 @@ class TestGoldenReports:
         assert h.hexdigest() == digest
 
 
+class TestGoldenReportsEveryRowRefined(TestGoldenReports):
+    """The golden reports again with every adaptive and subspace row
+    finished on its exact draw: an infinite radius refines every row."""
+
+    @pytest.fixture(autouse=True)
+    def _refine_every_row(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_UNDERFLOW", math.inf)
+
+    def test_every_row_is_refined(self, monkeypatch):
+        finished = _finished(monkeypatch)
+        run(_adaptive_scenario(reps=50))
+        assert sum(u.size for u in finished) == 50 * 32
+
+
+def _finished(monkeypatch) -> list:
+    """The uniforms of each call ``run`` makes to finish rows' draws."""
+    calls, real = [], simulate._rounds
+
+    def spy(u, lo, hi):
+        calls.append(u.copy())
+        return real(u, lo, hi)
+
+    monkeypatch.setattr(simulate, "_rounds", spy)
+    return calls
+
+
+def _first_stage(seed, rep, n, f, sigma):
+    """The uniforms of replication ``rep`` and the draw ``f + sigma * lo``
+    of the low ends of their first-stage brackets."""
+    u = simulate._uniform(simulate._words(seed, rep, n, None))[0]
+    return u, f + sigma * specfun._cells(u)[0].view(np.float64)
+
+
+class TestCertifiedRows:
+    """A row whose decision on the first-stage draw lies within its radius is
+    finished on its exact draw; these place one row there on purpose."""
+
+    def test_row_at_a_level_cutoff_is_refined(self, monkeypatch):
+        # Level 1's cutoff is one row's statistic on the first-stage draw,
+        # where that row is accepted; its exact draw has a larger statistic
+        # and is rejected.
+        scale = dyadic_scale(32, [1, 4])
+        params = BandParams.equal_split(0.1, 0.2, 1.0, nested_tuning(scale, 0.1, 0.2))
+        f, seed, reps = np.zeros(32), 31, 6
+
+        def statistic(y):
+            r = y - scale.levels[0].project(y)
+            return float(r @ r)
+
+        for rep in range(reps):
+            u, approx = _first_stage(seed, rep, 32, f, 1.0)
+            if statistic(f + gaussian_draw(seed, rep, 32)) > statistic(approx):
+                break
+        cutoff = statistic(approx)
+        real = bands.acceptance_threshold
+        monkeypatch.setattr(
+            bands, "acceptance_threshold", lambda n, d, g: cutoff if d == 1 else real(n, d, g)
+        )
+        bands._PLANS.pop(scale, None)  # rebuild the plan with this cutoff
+        finished = _finished(monkeypatch)
+        report = run(Scenario(kind="adaptive", truth=f, reps=reps, seed=seed, scale=scale, params=params))
+        assert len(finished) == 1 and np.array_equal(finished[0], u)
+        calls = [adaptive_band_nested(scale, f + gaussian_draw(seed, r, 32), params) for r in range(reps)]
+        assert calls[rep].selected_level > 1
+        assert np.array_equal(report.widths, [b.width for b in calls])
+        assert report.level_histogram == {
+            str(j): sum(b.selected_level == j for b in calls) for j in range(1, 4)
+        }
+        covered = [bool(np.all((b.lower <= f) & (f <= b.upper))) for b in calls]
+        assert report.true_coverage == report.surrogate_coverage == sum(covered) / reps
+
+    def test_truth_on_a_band_edge_is_refined(self, monkeypatch):
+        # The half-width puts the zero truth on the lower edge of one row's
+        # band on the first-stage draw, at its largest centre coordinate,
+        # so that band covers it; the exact draw's centre lies above there,
+        # and its band does not.
+        space, n, sigma, seed, reps = cosine_basis(16, 3), 16, 0.5, 41, 8
+        f = np.zeros(n)
+        for rep in range(reps):
+            u, approx = _first_stage(seed, rep, n, f, sigma)
+            center = space.project(approx)
+            i = int(np.argmax(np.abs(center)))
+            if center[i] > 0.0 and space.project(f + sigma * gaussian_draw(seed, rep, n))[i] > center[i]:
+                break
+        half = center[i]
+        assert center[i] - half == f[i]
+        monkeypatch.setattr(simulate, "_subspace_half_width", lambda *args: (half, 2.0 * half))
+        finished = _finished(monkeypatch)
+        report = run(Scenario(kind="subspace", truth=f, reps=reps, seed=seed, space=space, alpha=0.1, sigma=sigma))
+        assert len(finished) == 1 and np.array_equal(finished[0], u)
+        centers = [space.project(f + sigma * gaussian_draw(seed, r, n)) for r in range(reps)]
+        covered = [bool(np.all((c - half <= f) & (f <= c + half))) for c in centers]
+        assert covered[rep] is False
+        assert report.true_coverage == report.surrogate_coverage == sum(covered) / reps
+
+
 class TestRunMatchesBandCalls:
     def test_every_replication(self):
         # run() walks the levels through the band plan; each replication must
@@ -665,6 +771,28 @@ class TestFeasibilityPrecheck:
         # proving the check precedes the sampling loop.
         with pytest.raises(FeasibilityError):
             run(s)
+
+
+class TestResolution:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["adaptive", "bonferroni", "subspace"])
+    def test_noise_lost_to_rounding_is_refused_before_any_set_up(self, monkeypatch, kind):
+        # At +-1e200 one ulp of the truth exceeds every half-width at sigma
+        # = 1, so each draw would round back to the truth.
+        def refuse(*args):
+            raise AssertionError("set-up ran past the resolution check")
+
+        for name in ("surrogate_set", "_window_ends"):
+            monkeypatch.setattr(simulate, name, refuse)
+        f = 1e200 * np.tile([1.0, -1.0], 32)
+        fields = {"alpha": 0.1, "sigma": 1.0}
+        if kind == "adaptive":
+            scale = dyadic_scale(64, [1, 4])
+            fields = {"scale": scale, "params": BandParams.equal_split(0.1, 0.3, 1.0, nested_tuning(scale, 0.1, 0.3))}
+        elif kind == "subspace":
+            fields["space"] = dyadic_blocks(64, 4)
+        with pytest.raises(DomainError, match="below the spacing of doubles at the truth"):
+            run(Scenario(kind=kind, truth=f, reps=20, seed=1, **fields))
 
 
 class TestScenarioValidation:

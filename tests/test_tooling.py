@@ -23,6 +23,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,13 +78,14 @@ def _draw_calls(monkeypatch, name, scenario):
 
 
 def test_run_draws_one_block_per_call(monkeypatch):
-    # The traced run times the draw layer by wrapping simulate.gaussian_draw;
-    # adaptive and subspace runs must call it by that module name, once per
-    # block of replications.
+    # Adaptive and subspace runs key Philox through simulate._words once per
+    # block of replications, as Bonferroni runs do, and decide most rows
+    # from the first stage of the quantile: they never call gaussian_draw.
     rows = simulate._BLOCK_VALUES // 64
     s = Scenario(kind="subspace", truth=np.zeros(64), reps=2 * rows + 5, seed=1,
                  space=dyadic_blocks(64, 4), alpha=0.1, sigma=1.0)
-    assert _draw_calls(monkeypatch, "gaussian_draw", s) == [(0, rows), (rows, rows), (2 * rows, 5)]
+    assert _draw_calls(monkeypatch, "_words", s) == [(0, rows), (rows, rows), (2 * rows, 5)]
+    assert _draw_calls(monkeypatch, "gaussian_draw", s) == []
 
 
 def test_bonferroni_run_makes_one_uniform_block_per_call(monkeypatch):
@@ -355,14 +357,26 @@ def test_report_digests_match_direct_runs(tmp_path):
     assert tool.digests((key, matrix[key]) for key in expected) == expected
 
 
-def test_report_digests_match_the_committed_matrix():
-    # Every report of the matrix keeps its bytes.  Its 15 bonferroni-64
-    # reports run in one process, so the window ends a run keeps for the next
-    # run of its configuration are reused across reps and seeds here.
+def _digest_mismatches() -> list:
+    """The keys whose report digest differs from ``tests/report_digests.json``."""
     spec = importlib.util.spec_from_file_location("report_digests", DIGESTS)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     committed = json.loads((Path(__file__).parent / "report_digests.json").read_text())
     found = tool.digests(tool.cases())
     assert len(committed) == 65
-    assert sorted(k for k in found.keys() | committed.keys() if found.get(k) != committed.get(k)) == []
+    return sorted(k for k in found.keys() | committed.keys() if found.get(k) != committed.get(k))
+
+
+def test_report_digests_match_the_committed_matrix():
+    # Every report of the matrix keeps its bytes.  Its 15 bonferroni-64
+    # reports run in one process, so the window ends a run keeps for the next
+    # run of its configuration are reused across reps and seeds here.
+    assert _digest_mismatches() == []
+
+
+def test_report_digests_match_with_every_row_refined(monkeypatch):
+    # An infinite radius finishes every adaptive and subspace row's draw
+    # before its decisions; the reports keep their bytes.
+    monkeypatch.setattr(simulate, "_UNDERFLOW", math.inf)
+    assert _digest_mismatches() == []
